@@ -190,6 +190,15 @@ def cmd_icp(args):
             "alpha": config.alpha,
             "n_tested": len(report.tests),
             "n_accepted": int(sum(t.accepted for t in report.tests)),
+            "tests": [
+                {
+                    "features": list(t.features),
+                    "p_value": t.p_value,
+                    "accepted": t.accepted,
+                    "degenerate": t.degenerate,
+                }
+                for t in report.tests
+            ],
         }
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

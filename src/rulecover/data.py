@@ -153,6 +153,20 @@ class FitReport:
         object.__setattr__(self, "per_iteration_log", tuple(self.per_iteration_log))
 
 
+def _exact_cast(values, dtype, message):
+    """``values`` as a contiguous ``dtype`` array, refusing any value the cast
+    would change (fractions, NaN, or integers out of the dtype's range)."""
+    try:
+        raw = np.asarray(values)
+        with np.errstate(invalid="ignore"):
+            out = np.ascontiguousarray(raw, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DataError(message) from None
+    if not np.array_equal(out, raw):
+        raise DataError(message)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Column-oriented table of binary features, binary labels and
@@ -166,9 +180,9 @@ class Dataset:
     feature_names: tuple = ()
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.uint8)
-        labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
-        envs = np.ascontiguousarray(self.envs, dtype=np.int64)
+        features = _exact_cast(self.features, np.uint8, "features must be 0/1 valued")
+        labels = _exact_cast(self.labels, np.uint8, "labels must be 0/1 valued")
+        envs = _exact_cast(self.envs, np.int64, "environment ids must be integers")
         if features.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         m, d = features.shape

@@ -205,6 +205,16 @@ def conditional_gtest(y, e, strata, min_samples_per_cell=0, n_possible_strata=No
     counts = kernels.stratified_label_env_counts(
         strata_dense, n_strata, y, e_dense, k
     )
+    return stratified_gtest(counts)
+
+
+def stratified_gtest(counts):
+    """G-test of label against environment summed over strata.
+
+    ``counts`` is an (n_strata, 2, k) array holding only non-empty strata, in
+    ascending stratum id: the order fixes how the floating-point sum groups
+    its terms, so every caller gets bit-identical p-values for equal tables.
+    """
     stat, dof = table_stats(counts, "gtest")
     return _result_from(stat.sum(), dof.sum())
 

@@ -6,6 +6,7 @@ import pytest
 from rulecover.cli import main, parse_parent_probs, parse_xb_sizes
 from rulecover.data import load_dataset_csv, load_model_json
 from rulecover.errors import ConfigError
+from rulecover.icp import IcpConfig, icp_report
 
 
 def test_parse_xb_sizes():
@@ -146,6 +147,13 @@ def test_icp_subcommand(sim_dir, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["n_tested"] == 2 ** 5
     assert doc["selected"] == [0, 1]
+    assert len(doc["tests"]) == 2 ** 5
+    empty = doc["tests"][0]
+    assert empty["features"] == []
+    expected = icp_report(load_dataset_csv(sim_dir / "dataset.csv"), IcpConfig())
+    assert empty["p_value"] == expected.tests[0].p_value
+    assert empty["accepted"] is expected.tests[0].accepted
+    assert empty["degenerate"] is expected.tests[0].degenerate
 
 
 def test_icp_infeasible_exit_code(tmp_path):

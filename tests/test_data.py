@@ -135,6 +135,23 @@ def test_dataset_validation():
         )
 
 
+# Values are checked before the cast to uint8/int64, which would otherwise
+# turn 0.5 and 256 into 0, label 257 into 1 and env 1.7 into 1.
+def test_dataset_rejects_features_the_cast_would_change():
+    with pytest.raises(DataError, match="features"):
+        Dataset(features=[[0.5], [256.0]], labels=[0, 1], envs=[0, 1])
+
+
+def test_dataset_rejects_labels_the_cast_would_change():
+    with pytest.raises(DataError, match="labels"):
+        Dataset(features=[[0], [1]], labels=[257, 0], envs=[0, 1])
+
+
+def test_dataset_rejects_fractional_env_ids():
+    with pytest.raises(DataError, match="environment ids"):
+        Dataset(features=[[0], [1]], labels=[0, 1], envs=[1.7, 0])
+
+
 def test_dataset_arrays_are_read_only():
     ds = _dataset([[0, 1], [1, 0]])
     with pytest.raises(ValueError):

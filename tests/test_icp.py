@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from rulecover.data import Dataset
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import derive_run_seed
-from rulecover.icp import IcpConfig, icp_fit, icp_report
+from rulecover.icp import IcpConfig, IcpReport, SubsetTest, icp_fit, icp_report
 from rulecover.simulator import SimConfig, simulate
+from rulecover.stats import conditional_gtest, joint_strata
 
 
 def _independent_dataset(seed=0, m=400, d=3):
@@ -118,3 +121,78 @@ def test_tests_cover_the_full_powerset():
     report = icp_report(ds, IcpConfig())
     assert len(report.tests) == 2 ** ds.n_features
     assert len({t.features for t in report.tests}) == len(report.tests)
+
+
+def _reference_report(dataset, config):
+    """The subset scan as one conditional_gtest over all m samples per subset."""
+    d = dataset.n_features
+    max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
+    tests, selected = [], None
+    for size in range(max_size + 1):
+        for subset in combinations(range(d), size):
+            result = conditional_gtest(
+                dataset.labels,
+                dataset.envs,
+                joint_strata(dataset.features, subset),
+                min_samples_per_cell=config.min_samples_per_cell,
+                n_possible_strata=2 ** len(subset),
+            )
+            accepted = result.p_value > config.alpha
+            tests.append(
+                SubsetTest(subset, float(result.p_value), accepted, result.degenerate)
+            )
+            if accepted:
+                selected = (
+                    frozenset(subset) if selected is None else selected & set(subset)
+                )
+    return IcpReport(
+        selected=frozenset() if selected is None else selected, tests=tuple(tests)
+    )
+
+
+def _sparse_env_dataset():
+    # three environments with ids {0, 5, 9}; the label leans on x0 and env
+    rng = np.random.default_rng(21)
+    m = 3000
+    features = (rng.random((m, 4)) < 0.5).astype(np.uint8)
+    envs = rng.choice(np.array([0, 5, 9]), size=m)
+    p = 0.2 + 0.5 * features[:, 0] + 0.02 * (envs == 9)
+    labels = (rng.random(m) < p).astype(np.uint8)
+    return Dataset(features=features, labels=labels, envs=envs), None
+
+
+def _constant_column_dataset():
+    # x1 and x3 never vary, so strata over them are empty (more than 8
+    # strata, so dropping them changes how the statistic sum is grouped); the
+    # 32 distinct rows are fewer than the possible strata of subsets of size >= 6
+    ds, _ = simulate(SimConfig(n_distractors=4, seed=8, n_samples_per_env=1500))
+    features = np.array(ds.features)
+    features[:, 1] = 0
+    features[:, 3] = 1
+    return Dataset(features=features, labels=ds.labels, envs=ds.envs), None
+
+
+def _wide_dataset(d):
+    ds = _independent_dataset(seed=d, m=300, d=d)
+    return ds, 2
+
+
+REFERENCE_CASES = {
+    "simulated_xb1": lambda: (simulate(SimConfig(n_distractors=1, seed=31))[0], None),
+    "simulated_xb3": lambda: (
+        simulate(SimConfig(n_distractors=3, seed=32, n_samples_per_env=3000))[0],
+        None,
+    ),
+    "sparse_env_ids": _sparse_env_dataset,
+    "constant_column": _constant_column_dataset,
+    "d25_capped": lambda: _wide_dataset(25),
+    "d70_capped": lambda: _wide_dataset(70),
+}
+
+
+@pytest.mark.parametrize("min_cell", [0, 10])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_cached_counts_match_per_subset_reference(case, min_cell):
+    dataset, max_size = REFERENCE_CASES[case]()
+    config = IcpConfig(max_subset_size=max_size, min_samples_per_cell=min_cell)
+    assert icp_report(dataset, config) == _reference_report(dataset, config)
