@@ -142,13 +142,18 @@ def cmd_fit(args):
             test_method=args.test_method,
             prune=args.prune,
         )
-        report = icscm_fit(dataset, config)
+        report = icscm_fit(dataset, config, model_type=args.model_type)
     _print_fit_report(dataset, report)
     if args.out:
         save_model_json(report.model, args.out, stop_reason=report.stop_reason)
         print(f"wrote {args.out}")
     if args.manifest:
-        doc = {"command": "fit", "method": args.method, "data": str(args.data)}
+        doc = {
+            "command": "fit",
+            "method": args.method,
+            "data": str(args.data),
+            "model_type": args.model_type,
+        }
         doc.update({k: getattr(config, k) for k in config.__dataclass_fields__})
         _write_manifest_file(args.manifest, doc)
     return 0

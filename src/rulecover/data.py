@@ -220,11 +220,6 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def n_envs(self):
-        """Number of environment columns (max id + 1)."""
-        return int(self.envs.max()) + 1
-
-    @property
     def n_distinct_envs(self):
         return int(np.unique(self.envs).size)
 

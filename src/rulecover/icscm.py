@@ -5,20 +5,12 @@ that remain, plus iterative pruning of rules whose removal keeps the label
 independent of the environment given the other selected features.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
-import numpy as np
-
-from . import _kernels as kernels
-from .data import (
-    Conjunction,
-    FitReport,
-    IterationRecord,
-    StopReason,
-    candidate_rules,
-)
+from .data import Conjunction
 from .errors import ConfigError
-from .scm import prediction_matrix
+from .scm import _greedy_fit
 from .stats import (
     chi2_sf,
     conditional_gtest,
@@ -26,6 +18,12 @@ from .stats import (
     joint_strata,
     table_stats,
 )
+
+# Not called here: the greedy engine in scm.py builds the candidates and the
+# prediction matrix, and the traced benchmark (perfbench/layers.py) rebinds
+# these names on this module, so they stay importable from here.
+from .data import candidate_rules  # noqa: F401
+from .scm import prediction_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,96 +75,63 @@ def leaf_invariance_pvalue(rule, dataset, min_leaf=10, method="chi2", active=Non
     ).p_value
 
 
-def icscm_fit(dataset, config, rules=None):
+def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     """Greedy fit with the per-rule invariance filter and stopping test.
 
     Candidates whose negative-leaf test rejects independence (p <= alpha)
     are disregarded for that iteration; if every candidate is disregarded
     the fit stops with ``no_valid_rule``. After each append, the label/
     environment test on the surviving samples decides whether invariance is
-    reached. Pruning is applied afterwards when configured.
+    reached. Pruning is applied afterwards when configured. Disjunctions are
+    fitted through De Morgan, as in ``scm_fit``.
     """
     if dataset.n_distinct_envs < 2:
         raise ConfigError(
             "invariance is untestable on single-environment data "
             f"(got {dataset.n_distinct_envs} distinct environment id)"
         )
-    if rules is None:
-        rules = candidate_rules(dataset)
-    rules = list(rules)
-    if not rules:
-        raise ConfigError("empty candidate rule set")
-
-    features, labels, envs = dataset.features, dataset.labels, dataset.envs
-    n_envs = dataset.n_envs
-    preds = prediction_matrix(features, rules)
-    active = np.ones(features.shape[0], dtype=bool)
-    available = np.ones(len(rules), dtype=bool)
-    chosen = []
-    log = []
-    stop = None
-
-    while True:
-        if len(chosen) >= config.max_rules:
-            stop = StopReason.MAX_RULES
-            break
-        if not (labels[active] == 0).any():
-            stop = StopReason.NO_NEGATIVES_LEFT
-            break
-        if not available.any():
-            stop = StopReason.NO_VALID_RULE
-            break
-
-        counts = kernels.leaf_label_env_counts(
-            preds[active], labels[active], envs[active], n_envs
-        )
-        leaf_sizes = counts.sum(axis=(1, 2))
-        stat, dof = table_stats(counts, config.test_method)
-        leaf_p = np.ones(len(rules))
-        for r in range(len(rules)):
-            if available[r] and leaf_sizes[r] >= config.min_leaf and dof[r] > 0:
-                leaf_p[r] = chi2_sf(stat[r], int(dof[r]))
-
-        covered = counts[:, 0, :].sum(axis=1)
-        errors = counts[:, 1, :].sum(axis=1)
-        utilities = covered.astype(np.float64) - config.p * errors.astype(np.float64)
-        valid = available & (leaf_p > config.alpha)
-        if not valid.any():
-            stop = StopReason.NO_VALID_RULE
-            break
-        best = int(np.argmax(np.where(valid, utilities, -np.inf)))
-
-        chosen.append(rules[best])
-        available[best] = False
-        active &= preds[:, best] == 1
-
-        if active.any():
-            gamma = independence_test(
-                labels[active], envs[active], method=config.test_method
-            ).p_value
-        else:
-            gamma = 1.0
-        log.append(
-            IterationRecord(
-                rule=rules[best],
-                utility=float(utilities[best]),
-                leaf_p_value=float(leaf_p[best]),
-                stop_p_value=float(gamma),
-            )
-        )
-        if gamma > config.alpha:
-            stop = StopReason.INVARIANCE_REACHED
-            break
-
-    model = Conjunction(rules=tuple(chosen))
-    if config.prune and len(model) > 0:
-        model = prune(model, dataset, config.alpha)
-    return FitReport(
-        model=model,
-        selected_features=model.feature_indices(),
-        per_iteration_log=tuple(log),
-        stop_reason=stop,
+    report = _greedy_fit(
+        dataset,
+        rules,
+        model_type,
+        config.p,
+        config.max_rules,
+        leaf_filter=partial(_first_invariant_leaf, config),
+        stop_test=partial(_invariance_reached, config),
     )
+    if config.prune and len(report.model) > 0:
+        model = prune(report.model, dataset, config.alpha)
+        report = replace(
+            report, model=model, selected_features=model.feature_indices()
+        )
+    return report
+
+
+def _first_invariant_leaf(config, counts, order):
+    """The first candidate in ``order`` whose negative leaf passes the
+    label/environment test, with its p-value; None when none passes.
+
+    ``counts`` holds every candidate's (label, env) leaf table. A leaf below
+    ``min_leaf`` samples or with a degenerate table passes with p = 1.
+    chi2_sf runs only until a candidate passes.
+    """
+    leaf_sizes = counts.sum(axis=(1, 2))
+    stat, dof = table_stats(counts, config.test_method)
+    for r in order:
+        p_value = 1.0
+        if leaf_sizes[r] >= config.min_leaf and dof[r] > 0:
+            p_value = chi2_sf(stat[r], int(dof[r]))
+        if p_value > config.alpha:
+            return int(r), p_value
+    return None
+
+
+def _invariance_reached(config, labels, envs):
+    """Stopping test on the samples still active: (p-value, p > alpha)."""
+    if labels.size == 0:
+        return 1.0, True
+    gamma = independence_test(labels, envs, method=config.test_method).p_value
+    return gamma, gamma > config.alpha
 
 
 def prune(model, dataset, alpha):

@@ -15,8 +15,13 @@ from . import _kernels as kernels
 from .errors import DataError
 
 _EPS = 1e-15
-_MAX_ITER = 800
 _TINY = 1e-300
+
+
+def _max_terms(a):
+    # Near x = a both expansions need O(sqrt(a)) terms: about 8 * sqrt(a) for
+    # the series, fewer for the continued fraction.
+    return 800 + int(16.0 * math.sqrt(a))
 
 
 def _regularized_lower_gamma_series(a, x):
@@ -25,12 +30,14 @@ def _regularized_lower_gamma_series(a, x):
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_terms(a)):
         denom += 1.0
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise ArithmeticError(f"gamma series did not converge at a={a}, x={x}")
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -41,7 +48,7 @@ def _regularized_upper_gamma_cf(a, x):
     c = 1.0 / _TINY
     d = 1.0 / b if b != 0.0 else 1.0 / _TINY
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _max_terms(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -55,12 +62,18 @@ def _regularized_upper_gamma_cf(a, x):
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ArithmeticError(
+            f"gamma continued fraction did not converge at a={a}, x={x}"
+        )
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
 def chi2_sf(x, dof):
     """Survival function of the chi-square distribution,
     1 - P(dof/2, x/2) with P the regularized lower incomplete gamma.
+
+    Raises ArithmeticError if the expansion fails to converge.
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:

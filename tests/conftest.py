@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rulecover.data import Dataset
+from rulecover.data import Dataset, StopReason
+from rulecover.icscm import leaf_invariance_pvalue
+from rulecover.stats import independence_test
 
 
 def greedy_reference(features, labels, p, max_rules, rules):
@@ -39,6 +41,54 @@ def greedy_reference(features, labels, p, max_rules, rules):
         neg -= covered
         pos -= errors
     return chosen
+
+
+def eager_icscm_reference(dataset, config, rules):
+    """Unpruned icscm fit that scores every available rule's leaf test each
+    round, then takes the argmax utility over the rules that pass (ties to
+    the lowest candidate index). Returns (rules, log entries, stop reason);
+    a log entry is (rule, utility, leaf p-value, stop p-value).
+    """
+    features, labels, envs = dataset.features, dataset.labels, dataset.envs
+    active = np.ones(dataset.n_samples, dtype=bool)
+    used = set()
+    chosen, log = [], []
+    while True:
+        if len(chosen) >= config.max_rules:
+            return chosen, log, StopReason.MAX_RULES
+        if not (labels[active] == 0).any():
+            return chosen, log, StopReason.NO_NEGATIVES_LEFT
+        if len(used) == len(rules):
+            return chosen, log, StopReason.NO_VALID_RULE
+        best = None
+        for idx, rule in enumerate(rules):
+            if idx in used:
+                continue
+            p_value = leaf_invariance_pvalue(
+                rule, dataset, config.min_leaf, config.test_method, active
+            )
+            if p_value <= config.alpha:
+                continue
+            leaf = active & (rule.evaluate(features) == 0)
+            score = float((leaf & (labels == 0)).sum()) - config.p * float(
+                (leaf & (labels == 1)).sum()
+            )
+            if best is None or score > best[0]:
+                best = (score, idx, p_value)
+        if best is None:
+            return chosen, log, StopReason.NO_VALID_RULE
+        score, idx, p_value = best
+        used.add(idx)
+        chosen.append(rules[idx])
+        active &= rules[idx].evaluate(features) == 1
+        gamma = 1.0
+        if active.any():
+            gamma = independence_test(
+                labels[active], envs[active], method=config.test_method
+            ).p_value
+        log.append((rules[idx], score, p_value, gamma))
+        if gamma > config.alpha:
+            return chosen, log, StopReason.INVARIANCE_REACHED
 
 
 def random_instance(rng, max_features=4, max_samples=64):

@@ -106,6 +106,21 @@ def test_fit_round_trip_predictions(sim_dir, tmp_path):
     assert np.array_equal(model.predict(ds.features), reloaded.predict(ds.features))
 
 
+def test_fit_icscm_disjunction_is_saved_as_one(sim_dir, tmp_path):
+    model_path = tmp_path / "m.json"
+    manifest = tmp_path / "resolved.json"
+    code = main(
+        ["fit", "--data", str(sim_dir / "dataset.csv"), "--method", "icscm",
+         "--model-type", "disjunction", "-o", str(model_path),
+         "--manifest", str(manifest)]
+    )
+    assert code == 0
+    assert json.loads(model_path.read_text())["model_type"] == "disjunction"
+    model, _ = load_model_json(model_path)
+    assert model.is_disjunction
+    assert json.loads(manifest.read_text())["model_type"] == "disjunction"
+
+
 def test_fit_missing_file_is_data_error(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 3
 
@@ -210,6 +225,7 @@ def test_manifest_flag(sim_dir, tmp_path):
     doc = json.loads(manifest.read_text())
     assert doc["command"] == "fit"
     assert doc["alpha"] == 0.05
+    assert doc["model_type"] == "conjunction"
 
 
 def test_usage_error_exit_code():

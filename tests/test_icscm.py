@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
-from rulecover.data import Conjunction, Dataset, Rule, StopReason
+from rulecover.data import Conjunction, Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError
 from rulecover.harness import derive_run_seed
 from rulecover.icscm import IcscmConfig, icscm_fit, leaf_invariance_pvalue, prune
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.simulator import SimConfig, simulate
+
+from conftest import eager_icscm_reference, random_instance
 
 
 def _sim(xb=3, seed=0, m=10000):
@@ -132,6 +136,106 @@ def test_gtest_leaf_method_also_works():
     ds, truth = _sim(xb=2, seed=derive_run_seed(105, 2, 0))
     report = icscm_fit(ds, IcscmConfig(test_method="gtest"))
     assert report.selected_features == truth.parent_indices
+
+
+def _tie_heavy_instance(rng):
+    """Small dataset whose columns repeat or complement a few base columns,
+    so candidate utilities tie often; in some instances the label leans on
+    the environment, so leaf tests reject and fits end in no_valid_rule."""
+    while True:
+        m = int(rng.integers(12, 80))
+        base = (rng.random((m, int(rng.integers(1, 4)))) < 0.5).astype(np.uint8)
+        cols = rng.integers(0, base.shape[1], size=int(rng.integers(2, 6)))
+        flip = rng.random(len(cols)) < 0.3
+        features = np.where(flip, 1 - base[:, cols], base[:, cols]).astype(np.uint8)
+        envs = rng.integers(0, int(rng.integers(2, 4)), size=m)
+        lean = rng.random(m) < rng.random()
+        labels = np.where(lean, envs % 2, rng.random(m) < 0.5).astype(np.uint8)
+        if len(np.unique(envs)) > 1 and labels.min() != labels.max():
+            ds = Dataset(features=features, labels=labels, envs=envs)
+            if candidate_rules(ds):
+                return ds
+
+
+def test_lazy_filter_matches_eager_reference():
+    rng = np.random.default_rng(2024)
+    stops = []
+    for _ in range(150):
+        ds = _tie_heavy_instance(rng)
+        rules = candidate_rules(ds)
+        if rng.random() < 0.5:
+            rules = [rules[i] for i in rng.permutation(len(rules))]
+        config = IcscmConfig(
+            p=float(rng.choice([0.5, 1.0, 2.0])),
+            max_rules=int(rng.integers(1, 6)),
+            alpha=float(rng.choice([0.05, 0.3, 0.7])),
+            min_leaf=int(rng.choice([1, 5, 10])),
+            test_method=str(rng.choice(["chi2", "gtest"])),
+            prune=False,
+        )
+        report = icscm_fit(ds, config, rules=rules)
+        chosen, log, stop = eager_icscm_reference(ds, config, rules)
+        assert list(report.model.rules) == chosen
+        assert [
+            (rec.rule, rec.utility, rec.leaf_p_value, rec.stop_p_value)
+            for rec in report.per_iteration_log
+        ] == log
+        assert report.stop_reason == stop
+        stops.append(stop)
+    assert stops.count(StopReason.NO_VALID_RULE) >= 10
+    assert stops.count(StopReason.INVARIANCE_REACHED) >= 10
+    assert stops.count(StopReason.MAX_RULES) >= 5
+
+
+def test_disjunction_duality():
+    rng = np.random.default_rng(21)
+    fitted = 0
+    while fitted < 10:
+        ds = random_instance(rng)
+        rules = candidate_rules(ds)
+        if ds.n_distinct_envs < 2 or not rules:
+            continue
+        fitted += 1
+        config = IcscmConfig(max_rules=4, alpha=0.3, min_leaf=5)
+        disj = icscm_fit(ds, config, rules=rules, model_type="disjunction")
+        flipped = Dataset(
+            features=ds.features,
+            labels=1 - ds.labels,
+            envs=ds.envs,
+            feature_names=ds.feature_names,
+        )
+        conj = icscm_fit(flipped, config, rules=[r.negated() for r in rules])
+        assert disj.model.rules == tuple(r.negated() for r in conj.model.rules)
+        assert disj.model.is_disjunction
+        assert disj.stop_reason == conj.stop_reason
+        assert [
+            (rec.rule, rec.utility, rec.leaf_p_value, rec.stop_p_value)
+            for rec in disj.per_iteration_log
+        ] == [
+            (rec.rule.negated(), rec.utility, rec.leaf_p_value, rec.stop_p_value)
+            for rec in conj.per_iteration_log
+        ]
+        predictions = disj.model.predict(ds.features)
+        assert np.array_equal(predictions, 1 - conj.model.predict(ds.features))
+
+
+@pytest.mark.parametrize("ids", [(0, 10**6), (3, 7, 9)])
+def test_fits_depend_on_env_order_not_id_values(ids):
+    # the cost of a fit must not grow with the environment id values
+    rng = np.random.default_rng(len(ids))
+    m = 400
+    features = (rng.random((m, 3)) < 0.5).astype(np.uint8)
+    dense = rng.integers(0, len(ids), size=m)
+    noise = rng.random(m) < np.where(dense == 0, 0.05, 0.25)
+    labels = (features[:, 0] & features[:, 1]) ^ noise
+    configs = (ScmConfig(), IcscmConfig())
+    t0 = time.perf_counter()
+    sparse = Dataset(features=features, labels=labels, envs=np.array(ids)[dense])
+    got = (scm_fit(sparse, configs[0]), icscm_fit(sparse, configs[1]))
+    elapsed = time.perf_counter() - t0
+    relabelled = Dataset(features=features, labels=labels, envs=dense)
+    assert got == (scm_fit(relabelled, configs[0]), icscm_fit(relabelled, configs[1]))
+    assert elapsed < 1.0
 
 
 class TestPrune:

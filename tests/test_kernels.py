@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rulecover import _kernels as kernels
-from rulecover._kernels import _pyimpl
 
 
 def _brute_leaf_counts(preds, y, e, n_env):
@@ -31,9 +30,11 @@ def _random_case(seed, m=60, n_rules=5, n_env=3):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31))
-def test_leaf_counts_match_brute_force(seed):
-    preds, y, e, n_env = _random_case(seed)
+@given(st.integers(0, 2 ** 31), st.sampled_from([(60, 5), (500, 12)]))
+@example(seed=123, shape=(500, 12))
+def test_leaf_counts_match_brute_force(seed, shape):
+    m, n_rules = shape
+    preds, y, e, n_env = _random_case(seed, m=m, n_rules=n_rules)
     got = kernels.leaf_label_env_counts(preds, y, e, n_env)
     assert np.array_equal(got, _brute_leaf_counts(preds, y, e, n_env))
 
@@ -48,44 +49,6 @@ def test_stratified_counts_match_brute_force(seed):
     e = rng.integers(0, n_env, size=m).astype(np.int64)
     got = kernels.stratified_label_env_counts(strata, n_strata, y, e, n_env)
     assert np.array_equal(got, _brute_stratified_counts(strata, n_strata, y, e, n_env))
-
-
-def test_python_backend_matches_brute_force():
-    preds, y, e, n_env = _random_case(123, m=500, n_rules=12)
-    got = _pyimpl.leaf_label_env_counts(preds, y, e, n_env)
-    assert np.array_equal(got, _brute_leaf_counts(preds, y, e, n_env))
-
-
-@pytest.mark.skipif(
-    "compiled" not in kernels.available_backends(),
-    reason="compiled kernels not built",
-)
-def test_backends_agree():
-    compiled = kernels.available_backends()["compiled"]
-    for seed in range(10):
-        preds, y, e, n_env = _random_case(seed, m=200, n_rules=9)
-        a = compiled.leaf_label_env_counts(preds, y, e, n_env)
-        b = _pyimpl.leaf_label_env_counts(preds, y, e, n_env)
-        assert np.array_equal(a, b)
-        rng = np.random.default_rng(seed)
-        strata = rng.integers(0, 7, size=200).astype(np.int64)
-        a = compiled.stratified_label_env_counts(strata, 7, y, e, n_env)
-        b = _pyimpl.stratified_label_env_counts(strata, 7, y, e, n_env)
-        assert np.array_equal(a, b)
-
-
-def test_use_backend_switches_and_restores():
-    original = kernels.BACKEND
-    try:
-        kernels.use_backend("python")
-        assert kernels.BACKEND == "python"
-        preds, y, e, n_env = _random_case(5)
-        got = kernels.leaf_label_env_counts(preds, y, e, n_env)
-        assert np.array_equal(got, _brute_leaf_counts(preds, y, e, n_env))
-        with pytest.raises(KeyError):
-            kernels.use_backend("fortran")
-    finally:
-        kernels.use_backend(original)
 
 
 def test_input_validation():

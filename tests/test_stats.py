@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rulecover import stats
 from rulecover.errors import DataError
 from rulecover.stats import (
     ContingencyTable,
@@ -47,6 +48,25 @@ class TestChi2Sf:
         for dof in (1, 3, 10, 40):
             for x in (0.2, 1.0, 4.0, 15.0, 70.0):
                 assert chi2_sf(x, dof) == pytest.approx(oracle(x, dof), abs=1e-8)
+
+    def test_large_dof_matches_scipy(self):
+        # near x = dof both expansions need O(sqrt(dof)) terms, far more than
+        # the 800 that once capped them
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for dof in (10**3, 10**5, 10**6, 2 * 10**6):
+            sigma = math.sqrt(2 * dof)
+            for z in (-6, -3, -1, 0, 1, 3, 6):
+                x = dof + z * sigma
+                expected = scipy_stats.chi2.sf(x, dof)
+                assert chi2_sf(x, dof) == pytest.approx(expected, rel=1e-7)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_max_terms", lambda a: 800)
+        with pytest.raises(ArithmeticError):
+            chi2_sf(2e6, 2 * 10**6)
+        with pytest.raises(ArithmeticError):
+            chi2_sf(5e5, 5 * 10**5)
+        assert chi2_sf(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
 
     def test_vanishes_at_infinity(self):
         assert chi2_sf(1e4, 3) < 1e-300 or chi2_sf(1e4, 3) == 0.0
