@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rulecover import _kernels as kernels
 
@@ -31,7 +31,6 @@ def _random_case(seed, m=60, n_rules=5, n_env=3):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31), st.sampled_from([(60, 5), (500, 12)]))
-@example(seed=123, shape=(500, 12))
 def test_leaf_counts_match_brute_force(seed, shape):
     m, n_rules = shape
     preds, y, e, n_env = _random_case(seed, m=m, n_rules=n_rules)
@@ -49,6 +48,12 @@ def test_stratified_counts_match_brute_force(seed):
     e = rng.integers(0, n_env, size=m).astype(np.int64)
     got = kernels.stratified_label_env_counts(strata, n_strata, y, e, n_env)
     assert np.array_equal(got, _brute_stratified_counts(strata, n_strata, y, e, n_env))
+
+
+def test_python_backend_matches_brute_force():
+    preds, y, e, n_env = _random_case(123, m=500, n_rules=12)
+    got = kernels.leaf_label_env_counts(preds, y, e, n_env)
+    assert np.array_equal(got, _brute_leaf_counts(preds, y, e, n_env))
 
 
 def test_input_validation():
