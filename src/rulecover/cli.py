@@ -5,11 +5,11 @@ infeasible. All randomness flows from --seed; no ambient entropy.
 """
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .data import load_dataset_csv, load_model_json, save_model_json
+from .data import load_dataset_csv, load_model_json, save_model_json, write_json
 from .errors import ConfigError, DataError, InfeasibleError
 from .harness import (
     ExperimentGrid,
@@ -61,12 +61,6 @@ def parse_parent_probs(text):
     return tuple(rows)
 
 
-def _write_manifest_file(path, doc):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_simulate(args):
     config = SimConfig(
         n_envs=args.n_env,
@@ -103,7 +97,7 @@ def cmd_simulate(args):
     print(f"  P(y = parents' AND) = {acc_parents:.4f}")
     print(f"  P(y = child) = {acc_child:.4f}")
     if args.manifest:
-        _write_manifest_file(args.manifest, {"command": "simulate", **config.to_dict()})
+        write_json(args.manifest, {"command": "simulate", **asdict(config)})
     return 0
 
 
@@ -128,34 +122,39 @@ def _print_fit_report(dataset, report):
         print(line)
 
 
+# Only icscm reads these flags. They default to None, so that --method scm
+# can refuse them and icscm takes the IcscmConfig defaults.
+_ICSCM_FLAGS = ("alpha", "min_leaf", "test_method", "prune")
+
+
 def cmd_fit(args):
-    dataset = load_dataset_csv(args.data)
+    given = {k: getattr(args, k) for k in _ICSCM_FLAGS if getattr(args, k) is not None}
     if args.method == "scm":
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ConfigError(f"--method scm does not use {flags}")
         config = ScmConfig(p=args.p, max_rules=args.max_rules)
-        report = scm_fit(dataset, config, model_type=args.model_type)
+        fit = scm_fit
     else:
-        config = IcscmConfig(
-            p=args.p,
-            max_rules=args.max_rules,
-            alpha=args.alpha,
-            min_leaf=args.min_leaf,
-            test_method=args.test_method,
-            prune=args.prune,
-        )
-        report = icscm_fit(dataset, config, model_type=args.model_type)
+        config = IcscmConfig(p=args.p, max_rules=args.max_rules, **given)
+        fit = icscm_fit
+    dataset = load_dataset_csv(args.data)
+    report = fit(dataset, config, model_type=args.model_type)
     _print_fit_report(dataset, report)
     if args.out:
         save_model_json(report.model, args.out, stop_reason=report.stop_reason)
         print(f"wrote {args.out}")
     if args.manifest:
-        doc = {
-            "command": "fit",
-            "method": args.method,
-            "data": str(args.data),
-            "model_type": args.model_type,
-        }
-        doc.update({k: getattr(config, k) for k in config.__dataclass_fields__})
-        _write_manifest_file(args.manifest, doc)
+        write_json(
+            args.manifest,
+            {
+                "command": "fit",
+                "method": args.method,
+                "data": str(args.data),
+                "model_type": args.model_type,
+                **asdict(config),
+            },
+        )
     return 0
 
 
@@ -182,9 +181,10 @@ def cmd_icp(args):
     )
     report = icp_report(dataset, config)
     selected = sorted(report.selected)
+    n_accepted = sum(t.accepted for t in report.tests)
     names = dataset.feature_names
     print(f"tested {len(report.tests)} subsets")
-    print(f"accepted {sum(t.accepted for t in report.tests)} subsets")
+    print(f"accepted {n_accepted} subsets")
     print(
         "selected features: "
         + (", ".join(f"{names[j]} (#{j})" for j in selected) if selected else "(none)")
@@ -194,20 +194,10 @@ def cmd_icp(args):
             "selected": selected,
             "alpha": config.alpha,
             "n_tested": len(report.tests),
-            "n_accepted": int(sum(t.accepted for t in report.tests)),
-            "tests": [
-                {
-                    "features": list(t.features),
-                    "p_value": t.p_value,
-                    "accepted": t.accepted,
-                    "degenerate": t.degenerate,
-                }
-                for t in report.tests
-            ],
+            "n_accepted": n_accepted,
+            "tests": [asdict(t) for t in report.tests],
         }
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, doc)
         print(f"wrote {args.out}")
     return 0
 
@@ -309,10 +299,11 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("scm", "icscm"), default="icscm")
     _add_fit_hyper_flags(p)
-    p.add_argument("--min-leaf", type=int, default=10)
-    p.add_argument("--test-method", choices=("chi2", "gtest"), default="chi2")
-    p.add_argument("--prune", dest="prune", action="store_true", default=True)
+    p.add_argument("--min-leaf", type=int)
+    p.add_argument("--test-method", choices=("chi2", "gtest"))
+    p.add_argument("--prune", dest="prune", action="store_true", default=None)
     p.add_argument("--no-prune", dest="prune", action="store_false")
+    p.set_defaults(alpha=None)
     p.add_argument("--model-type", choices=("conjunction", "disjunction"),
                    default="conjunction")
     p.add_argument("-o", "--out", default=None, help="model JSON path")

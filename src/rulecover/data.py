@@ -228,29 +228,44 @@ def candidate_rules(dataset):
     """The 2-per-feature equality stumps, skipping any rule whose truth
     vector is constant on the dataset (constant columns yield no usable
     split and only create degenerate argmax ties)."""
-    rules = []
-    for j in range(dataset.n_features):
-        column = dataset.features[:, j]
-        if column.min() == column.max():
-            continue
-        rules.append(Rule(j, 1))
-        rules.append(Rule(j, 0))
-    return rules
+    features = dataset.features
+    m, d = features.shape
+    # Column min and max with k rows folded into each long row, since a plain
+    # axis-0 reduction pays numpy's per-row overhead, which dominates at small
+    # d. The last k rows, folded once more, cover the m % k rows left over;
+    # counting a row twice changes no min or max.
+    k = max(1, min(m, 4096 // d))
+    folded = features[: m - m % k].reshape(-1, k * d)
+    last = features[m - k :].reshape(k * d)
+    low = np.minimum(folded.min(axis=0), last).reshape(k, d).min(axis=0)
+    high = np.maximum(folded.max(axis=0), last).reshape(k, d).max(axis=0)
+    varying = np.flatnonzero(low != high)
+    return [Rule(int(j), value) for j in varying for value in (1, 0)]
 
 
 def save_dataset_csv(dataset, path):
     """Write the canonical CSV form: header ``x0,...,x{d-1},y,e``, one sample
-    per row, ASCII digits, LF line endings."""
-    path = Path(path)
-    d = dataset.n_features
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(d)] + ["y", "e"])
-        for i in range(dataset.n_samples):
-            row = [str(int(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            row.append(str(int(dataset.envs[i])))
-            writer.writerow(row)
+    per row, ASCII digits, LF line endings.
+
+    The 0/1 columns and their commas are laid out as one uint8 byte matrix;
+    only the variable-width env id is formatted per row."""
+    m, d = dataset.features.shape
+    body = np.full((m, 2 * d + 2), ord(","), dtype=np.uint8)
+    np.add(dataset.features, ord("0"), out=body[:, 0 : 2 * d : 2])
+    np.add(dataset.labels, ord("0"), out=body[:, 2 * d])
+    header = ",".join([f"x{j}" for j in range(d)] + ["y", "e"]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for row, env in zip(body, dataset.envs.tolist()):
+            fh.write(row.tobytes() + b"%d\n" % env)
+
+
+def _utf8_lines(fh, path):
+    """The lines of a text file, with a decoding failure raised as DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_dataset_csv(path):
@@ -260,7 +275,7 @@ def load_dataset_csv(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -311,10 +326,16 @@ def load_dataset_csv(path):
     )
 
 
-def save_model_json(model, path, stop_reason=None):
+def write_json(path, doc):
+    """Write ``doc`` as canonical JSON: 2-space indent, sorted keys, UTF-8,
+    one trailing LF. Every JSON file rulecover writes goes through here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(model.to_dict(stop_reason=stop_reason), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_model_json(model, path, stop_reason=None):
+    write_json(path, model.to_dict(stop_reason=stop_reason))
 
 
 def load_model_json(path):
@@ -324,6 +345,6 @@ def load_model_json(path):
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     return Conjunction.from_dict(doc), doc.get("stop_reason")

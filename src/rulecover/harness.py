@@ -9,14 +9,14 @@ identical re-runs are required.
 """
 
 import csv
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import numpy as np
 
 from . import _kernels as kernels
+from .data import write_json
 from .errors import ConfigError, InfeasibleError
 from .icp import IcpConfig, icp_fit
 from .icscm import IcscmConfig, icscm_fit
@@ -71,6 +71,8 @@ class ExperimentGrid:
             raise ConfigError("xb_sizes must not be empty")
         if any(x < 0 for x in self.xb_sizes):
             raise ConfigError("xb_sizes must be non-negative")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.jobs < 1:
@@ -214,88 +216,60 @@ def summarize(results):
     return summary
 
 
-def write_identification_csv(results, path):
+def _write_csv(path, header, rows):
+    """Every harness table: a header, then one line per row, LF endings,
+    float cells with six decimals."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(IDENTIFICATION_COLUMNS)
-        for r in results:
-            writer.writerow(
-                [
-                    r.method,
-                    r.xb_size,
-                    r.seed,
-                    int(r.exact_match),
-                    f"{r.precision:.6f}",
-                    f"{r.recall:.6f}",
-                    f"{r.wall_time_s:.6f}",
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+
+
+def write_identification_csv(results, path):
+    _write_csv(
+        path,
+        IDENTIFICATION_COLUMNS,
+        (
+            (r.method, r.xb_size, r.seed, int(r.exact_match), r.precision,
+             r.recall, r.wall_time_s)
+            for r in results
+        ),
+    )
 
 
 def write_summary_csv(summary, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            writer.writerow(
-                [
-                    row["method"],
-                    row["xb_size"],
-                    row["n_runs"],
-                    f"{row['identification_rate']:.6f}",
-                    f"{row['mean_precision']:.6f}",
-                    f"{row['mean_recall']:.6f}",
-                    f"{row['mean_wall_time_s']:.6f}",
-                ]
-            )
+    _write_csv(
+        path, SUMMARY_COLUMNS, ([row[c] for c in SUMMARY_COLUMNS] for row in summary)
+    )
 
 
 def write_precision_recall_csv(summary, path):
     """Tidy long-format metric table (one row per method/size/metric)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "xb_size", "metric", "value"])
-        for row in summary:
-            for metric in ("identification_rate", "mean_precision", "mean_recall"):
-                writer.writerow(
-                    [row["method"], row["xb_size"], metric, f"{row[metric]:.6f}"]
-                )
+    _write_csv(
+        path,
+        ("method", "xb_size", "metric", "value"),
+        (
+            (row["method"], row["xb_size"], metric, row[metric])
+            for row in summary
+            for metric in ("identification_rate", "mean_precision", "mean_recall")
+        ),
+    )
 
 
-def write_manifest(grid, out_dir, extra=None):
-    doc = {
-        "methods": list(grid.methods),
-        "xb_sizes": list(grid.xb_sizes),
-        "n_runs": grid.n_runs,
-        "master_seed": grid.master_seed,
-        "base_sim": grid.base_sim.to_dict(),
-        "scm_config": {"p": grid.scm_config.p, "max_rules": grid.scm_config.max_rules},
-        "icscm_config": {
-            "p": grid.icscm_config.p,
-            "max_rules": grid.icscm_config.max_rules,
-            "alpha": grid.icscm_config.alpha,
-            "min_leaf": grid.icscm_config.min_leaf,
-            "test_method": grid.icscm_config.test_method,
-            "prune": grid.icscm_config.prune,
-        },
-        "icp_config": {
-            "alpha": grid.icp_config.alpha,
-            "max_subset_size": grid.icp_config.max_subset_size,
-            "min_samples_per_cell": grid.icp_config.min_samples_per_cell,
-            "feasibility_limit": grid.icp_config.feasibility_limit,
-        },
-        "record_timings": grid.record_timings,
-        "jobs": grid.jobs,
-        "seed_derivation": "SeedSequence((master_seed, xb_size, run_index)) -> uint64;"
-        " datasets are shared across methods within a run",
-        "kernel_backend": kernels.BACKEND,
-    }
-    if extra:
-        doc.update(extra)
+def write_manifest(grid, out_dir):
+    """manifest.json: every grid and config field, plus how run seeds are
+    derived and which counting kernels ran."""
     path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(
+        path,
+        {
+            **asdict(grid),
+            "seed_derivation": "SeedSequence((master_seed, xb_size, run_index))"
+            " -> uint64; datasets are shared across methods within a run",
+            "kernel_backend": kernels.BACKEND,
+        },
+    )
     return path
 
 
@@ -330,16 +304,8 @@ def run_runtime_benchmark(grid, repeats=3, out_dir=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "benchmark.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "xb_size", "repeats", "median_wall_time_s"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["method"],
-                        row["xb_size"],
-                        row["repeats"],
-                        f"{row['median_wall_time_s']:.6f}",
-                    ]
-                )
+        columns = ("method", "xb_size", "repeats", "median_wall_time_s")
+        _write_csv(
+            out_dir / "benchmark.csv", columns, ([r[c] for c in columns] for r in rows)
+        )
     return rows

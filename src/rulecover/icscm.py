@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .data import Conjunction
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .scm import _greedy_fit
 from .stats import (
     chi2_sf,
@@ -143,6 +143,14 @@ def prune(model, dataset, alpha):
     removed. The scan restarts after each removal (the conditioning set has
     changed) and repeats until a full pass removes nothing.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    for rule in model.rules:
+        if rule.feature_index >= dataset.n_features:
+            raise DataError(
+                f"model rule {rule} names feature {rule.feature_index} of "
+                f"{dataset.n_features}-feature data"
+            )
     rules = list(model.rules)
     labels, envs, features = dataset.labels, dataset.envs, dataset.features
     removed = True

@@ -10,14 +10,13 @@ Randomness comes from numpy's Philox counter-based generator, so streams are
 platform-stable and independent across harness seeds.
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, save_dataset_csv
+from .data import Dataset, save_dataset_csv, write_json
 from .errors import ConfigError
 
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
@@ -71,18 +70,6 @@ class SimConfig:
                 raise ConfigError(f"parent probabilities must lie in [0, 1], got {row}")
         object.__setattr__(self, "parent_probs", probs)
 
-    def to_dict(self):
-        return {
-            "n_envs": self.n_envs,
-            "n_samples_per_env": self.n_samples_per_env,
-            "n_distractors": self.n_distractors,
-            "eps_y": self.eps_y,
-            "eps_child": self.eps_child,
-            "eps_distractor": self.eps_distractor,
-            "parent_probs": [list(row) for row in self.parent_probs],
-            "seed": int(self.seed),
-        }
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -92,16 +79,6 @@ class GroundTruth:
     parent_indices: frozenset
     distractor_indices: frozenset
     child_index: int
-
-    def to_dict(self, feature_names=None):
-        doc = {
-            "parent_indices": sorted(self.parent_indices),
-            "distractor_indices": sorted(self.distractor_indices),
-            "child_index": int(self.child_index),
-        }
-        if feature_names is not None:
-            doc["feature_names"] = list(feature_names)
-        return doc
 
 
 def simulate(config):
@@ -180,12 +157,12 @@ def save_simulation(dataset, truth, config, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "dataset.csv"
     save_dataset_csv(dataset, csv_path)
-    sidecar = {
-        "ground_truth": truth.to_dict(feature_names=dataset.feature_names),
-        "sim_config": config.to_dict(),
-    }
     json_path = out_dir / "ground_truth.json"
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ground_truth = {
+        "parent_indices": sorted(truth.parent_indices),
+        "distractor_indices": sorted(truth.distractor_indices),
+        "child_index": truth.child_index,
+        "feature_names": list(dataset.feature_names),
+    }
+    write_json(json_path, {"ground_truth": ground_truth, "sim_config": asdict(config)})
     return csv_path, json_path

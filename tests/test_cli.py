@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from rulecover.cli import main, parse_parent_probs, parse_xb_sizes
-from rulecover.data import load_dataset_csv, load_model_json
+from rulecover.data import (
+    Conjunction,
+    Rule,
+    load_dataset_csv,
+    load_model_json,
+    save_model_json,
+)
 from rulecover.errors import ConfigError
 from rulecover.icp import IcpConfig, icp_report
 
@@ -125,6 +131,26 @@ def test_fit_missing_file_is_data_error(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 3
 
 
+def test_fit_non_utf8_csv_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x0,y,e\n0,1,0\n\xff,0,1\n")
+    assert main(["fit", "--data", str(path)]) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alpha", "0.05"], ["--min-leaf", "10"], ["--test-method", "gtest"],
+     ["--no-prune"], ["--prune"]],
+)
+def test_fit_scm_refuses_icscm_flags(sim_dir, flags, capsys):
+    code = main(
+        ["fit", "--data", str(sim_dir / "dataset.csv"), "--method", "scm"] + flags
+    )
+    assert code == 2
+    assert "--method scm does not use" in capsys.readouterr().err
+
+
 def test_fit_single_env_is_config_error(tmp_path):
     assert main(
         ["simulate", "--n-env", "1", "--samples", "200", "--force",
@@ -151,6 +177,24 @@ def test_prune_subcommand(sim_dir, tmp_path, capsys):
     model, _ = load_model_json(model_path)
     pruned, _ = load_model_json(pruned_path)
     assert set(pruned.rules) <= set(model.rules)
+
+
+def test_prune_refuses_bad_model_and_alpha(sim_dir, tmp_path, capsys):
+    data = str(sim_dir / "dataset.csv")
+    model_path = tmp_path / "far.json"
+    save_model_json(Conjunction(rules=(Rule(50, 1),)), model_path)
+    assert main(["prune", "--data", data, "--model", str(model_path)]) == 3
+    assert "feature 50" in capsys.readouterr().err
+    model_path.write_bytes(b'{"model_type": "conjunction", "rules": [], "x": "\xff"}')
+    assert main(["prune", "--data", data, "--model", str(model_path)]) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+    save_model_json(Conjunction(rules=(Rule(0, 1), Rule(1, 1))), model_path)
+    for alpha in ("7", "0"):
+        code = main(
+            ["prune", "--data", data, "--model", str(model_path), "--alpha", alpha]
+        )
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
 
 
 def test_icp_subcommand(sim_dir, tmp_path, capsys):
@@ -193,6 +237,16 @@ def test_experiment_subcommand(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 1
     assert manifest["record_timings"] is False
+
+
+@pytest.mark.parametrize("command", ["experiment", "benchmark"])
+def test_negative_master_seed_is_config_error(command, tmp_path, capsys):
+    code = main(
+        [command, "--methods", "scm", "--xb", "1", "--samples", "100",
+         "--seed", "-1", "-o", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "master_seed" in capsys.readouterr().err
 
 
 def test_experiment_rerun_byte_identical(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -111,6 +113,22 @@ def test_candidate_rules_single_feature():
     assert candidate_rules(ds) == [Rule(0, 1), Rule(0, 0)]
 
 
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 3), (30, 12), (3000, 3), (4999, 41)])
+def test_candidate_rules_match_column_loop_reference(m, d):
+    # m > 4096 // d folds rows and leaves m % k rows over; one cell flipped in
+    # the first, a middle and the last row must each make its column usable.
+    rng = np.random.default_rng(m * d)
+    for density in (0.0, 0.5, 1.0):
+        features = (rng.random((m, d)) < density).astype(np.uint8)
+        for row in (0, m // 2, m - 1):
+            features[row, rng.integers(d)] ^= 1
+        expected = []
+        for j in range(d):
+            if features[:, j].min() != features[:, j].max():
+                expected += [Rule(j, 1), Rule(j, 0)]
+        assert candidate_rules(_dataset(features)) == expected
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         _dataset([[0, 2]])
@@ -173,6 +191,26 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.array_equal(loaded.envs, ds.envs)
+
+
+def test_csv_bytes_match_csv_module_reference(tmp_path):
+    rng = np.random.default_rng(9)
+    for m, d in ((1, 1), (7, 3), (200, 12)):
+        ds = Dataset(
+            features=rng.integers(0, 2, (m, d)),
+            labels=rng.integers(0, 2, m),
+            envs=rng.choice([0, 7, 12, 999, 10**12], m),
+        )
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow([f"x{j}" for j in range(d)] + ["y", "e"])
+        for i in range(m):
+            writer.writerow(
+                [str(int(v)) for v in ds.features[i]]
+                + [str(int(ds.labels[i])), str(int(ds.envs[i]))]
+            )
+        save_dataset_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == ref.getvalue().encode("ascii")
 
 
 def test_csv_parse_error_location(tmp_path):

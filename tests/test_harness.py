@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import pytest
 
 from rulecover.errors import ConfigError, InfeasibleError
@@ -35,6 +38,8 @@ def test_grid_validation():
         ExperimentGrid(xb_sizes=())
     with pytest.raises(ConfigError):
         ExperimentGrid(n_runs=0)
+    with pytest.raises(ConfigError, match="master_seed"):
+        ExperimentGrid(master_seed=-1)
 
 
 def test_precision_recall_conventions():
@@ -64,6 +69,21 @@ def test_run_identification_outputs(tmp_path):
     assert len(summary_lines) == 1 + 2 * 2
     assert (tmp_path / "manifest.json").exists()
     assert (tmp_path / "fig_precision_recall.csv").exists()
+
+
+def test_manifest_records_every_config_field(tmp_path):
+    grid = _small_grid(icp_config=IcpConfig(max_subset_size=2))
+    run_identification(grid, out_dir=tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(doc) == {f.name for f in fields(grid)} | {
+        "seed_derivation",
+        "kernel_backend",
+    }
+    for name in ("base_sim", "scm_config", "icscm_config", "icp_config"):
+        config = getattr(grid, name)
+        assert set(doc[name]) == {f.name for f in fields(config)}
+    assert doc["icp_config"]["max_subset_size"] == 2
+    assert doc["base_sim"]["parent_probs"] == [[0.1, 0.5], [0.5, 0.3]]
 
 
 def test_paired_datasets_across_methods():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rulecover.data import Conjunction, Dataset, Rule, StopReason, candidate_rules
-from rulecover.errors import ConfigError
+from rulecover.errors import ConfigError, DataError
 from rulecover.harness import derive_run_seed
 from rulecover.icscm import IcscmConfig, icscm_fit, leaf_invariance_pvalue, prune
 from rulecover.scm import ScmConfig, scm_fit
@@ -266,3 +266,16 @@ class TestPrune:
         # gets certified as removable
         model = Conjunction(rules=(Rule(0, 1), Rule(1, 1)))
         assert prune(model, xor_and_dataset, alpha=0.05).rules == ()
+
+    @pytest.mark.parametrize("n_rules", [1, 2])
+    def test_rule_beyond_the_data_is_refused(self, n_rules):
+        ds, _ = _sim(xb=3, seed=7, m=500)
+        model = Conjunction(rules=(Rule(0, 1), Rule(50, 1))[-n_rules:])
+        with pytest.raises(DataError, match="feature 50"):
+            prune(model, ds, alpha=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.5])
+    def test_alpha_outside_unit_interval_is_refused(self, alpha):
+        ds, _ = _sim(xb=1, seed=7, m=500)
+        with pytest.raises(ConfigError, match="alpha"):
+            prune(Conjunction(rules=(Rule(0, 1),)), ds, alpha=alpha)
