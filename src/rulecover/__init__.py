@@ -26,12 +26,11 @@ from .harness import (
     run_runtime_benchmark,
     summarize,
 )
-from .icp import IcpConfig, IcpReport, icp_fit, icp_report
-from .icscm import IcscmConfig, icscm_fit, leaf_invariance_pvalue, prune
-from .scm import ScmConfig, scm_fit, utility
+from .icp import IcpConfig, IcpReport, icp_report
+from .icscm import IcscmConfig, icscm_fit, prune
+from .scm import ScmConfig, scm_fit
 from .simulator import GroundTruth, SimConfig, oracle_accuracy, save_simulation, simulate
 from .stats import (
-    ContingencyTable,
     TestResult,
     chi2_sf,
     conditional_gtest,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Conjunction",
     "ConfigError",
-    "ContingencyTable",
     "DataError",
     "Dataset",
     "ExperimentGrid",
@@ -67,12 +65,10 @@ __all__ = [
     "chi2_sf",
     "conditional_gtest",
     "derive_run_seed",
-    "icp_fit",
     "icp_report",
     "icscm_fit",
     "independence_test",
     "joint_strata",
-    "leaf_invariance_pvalue",
     "load_dataset_csv",
     "load_model_json",
     "oracle_accuracy",
@@ -86,5 +82,4 @@ __all__ = [
     "scm_fit",
     "simulate",
     "summarize",
-    "utility",
 ]

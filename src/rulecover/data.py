@@ -78,9 +78,6 @@ class Conjunction:
                 out &= rule.evaluate(features)
         return out
 
-    def predict_one(self, x):
-        return int(self.predict(np.asarray(x).reshape(1, -1))[0])
-
     def feature_indices(self):
         return frozenset(rule.feature_index for rule in self.rules)
 
@@ -103,12 +100,16 @@ class Conjunction:
     def from_dict(cls, doc):
         try:
             mode = doc["model_type"]
-            rules = tuple(
-                Rule(int(r["feature_index"]), int(r["expected_value"]))
-                for r in doc["rules"]
-            )
+            fields = [(r["feature_index"], r["expected_value"]) for r in doc["rules"]]
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
+        for value in (v for pair in fields for v in pair):
+            if type(value) is not int:  # refuses floats, bools and strings
+                raise DataError(
+                    f"malformed model document: rule fields must be JSON "
+                    f"integers, got {value!r}"
+                )
+        rules = tuple(Rule(j, v) for j, v in fields)
         if mode not in ("conjunction", "disjunction"):
             raise DataError(f"unknown model_type {mode!r}")
         return cls(rules=rules, is_disjunction=(mode == "disjunction"))
@@ -160,7 +161,7 @@ def _exact_cast(values, dtype, message):
         raw = np.asarray(values)
         with np.errstate(invalid="ignore"):
             out = np.ascontiguousarray(raw, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(message) from None
     if not np.array_equal(out, raw):
         raise DataError(message)
@@ -260,12 +261,16 @@ def save_dataset_csv(dataset, path):
             fh.write(row.tobytes() + b"%d\n" % env)
 
 
-def _utf8_lines(fh, path):
-    """The lines of a text file, with a decoding failure raised as DataError."""
+def _csv_rows(fh, path):
+    """The rows of a CSV text file, with a decoding or parsing failure
+    raised as DataError."""
+    reader = csv.reader(fh)
     try:
-        yield from fh
+        yield from reader
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_dataset_csv(path):
@@ -275,7 +280,7 @@ def load_dataset_csv(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -313,6 +318,10 @@ def load_dataset_csv(path):
                 ) from None
             if env < 0:
                 raise DataError(f"{path}:{lineno}: column 'e': negative env id {env}")
+            if env >= 2**63:
+                raise DataError(
+                    f"{path}:{lineno}: column 'e': env id {env} exceeds 2**63 - 1"
+                )
             features.append(feat_row)
             labels.append(int(row[d]))
             envs.append(env)

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels as kernels
+from . import icp
 from .data import write_json
 from .errors import ConfigError, InfeasibleError
-from .icp import IcpConfig, icp_fit
+from .icp import IcpConfig
 from .icscm import IcscmConfig, icscm_fit
 from .scm import ScmConfig, scm_fit
 from .simulator import SimConfig, simulate
@@ -133,7 +134,8 @@ def _fit_selected(method, dataset, grid):
         config = replace(grid.icscm_config, prune=False)
         return set(icscm_fit(dataset, config).selected_features)
     if method == "icp":
-        return icp_fit(dataset, grid.icp_config)
+        # looked up on the module, so that a rebound icp.icp_report is called
+        return set(icp.icp_report(dataset, grid.icp_config).selected)
     raise ConfigError(f"unknown method {method!r}")
 
 

@@ -20,12 +20,10 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import ConfigError, InfeasibleError
-from .stats import _check_pair, joint_strata, stratified_gtest
+from .stats import joint_strata, stratified_gtest
 
-# Not called here: icp_report reproduces conditional_gtest over joint_strata
-# bit for bit (tests/test_icp.py checks it), and the traced benchmark
-# (perfbench/layers.py) rebinds this module's conditional_gtest, so the name
-# stays importable from here.
+# Not called here (icp_report sums the same tables from a cache); the traced
+# benchmark (perfbench/layers.py) rebinds this module's conditional_gtest.
 from .stats import conditional_gtest  # noqa: F401
 
 
@@ -82,11 +80,12 @@ def icp_report(dataset, config):
         )
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
 
-    labels, envs = _check_pair(dataset.labels, dataset.envs)
-    _, envs = np.unique(envs, return_inverse=True)
+    _, envs = np.unique(dataset.envs, return_inverse=True)
     k = int(envs.max()) + 1
     rows, row_ids = _distinct_rows(dataset.features)
-    table = kernels.stratified_label_env_counts(row_ids, len(rows), labels, envs, k)
+    table = kernels.stratified_label_env_counts(
+        row_ids, len(rows), dataset.labels, envs, k
+    )
     table = table.reshape(len(rows), 2 * k).astype(np.float64)
 
     tests = []
@@ -150,8 +149,3 @@ def _subset_counts(table, rows, subset, k):
     counts = counts.reshape(n_strata, width)
     return counts[counts.any(axis=1)].reshape(-1, 2, k)
 
-
-def icp_fit(dataset, config):
-    """Intersection of all feature subsets whose conditional test does not
-    reject independence; empty when no subset is accepted."""
-    return set(icp_report(dataset, config).selected)

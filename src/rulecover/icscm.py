@@ -60,21 +60,6 @@ class IcscmConfig:
             )
 
 
-def leaf_invariance_pvalue(rule, dataset, min_leaf=10, method="chi2", active=None):
-    """p-value of the label-vs-environment independence test over the
-    samples the rule sends to its negative leaf (rule output 0), restricted
-    to ``active`` samples when given. Returns 1 when the leaf holds fewer
-    than ``min_leaf`` samples."""
-    leaf = rule.evaluate(dataset.features) == 0
-    if active is not None:
-        leaf &= active
-    if int(leaf.sum()) < min_leaf:
-        return 1.0
-    return independence_test(
-        dataset.labels[leaf], dataset.envs[leaf], method=method
-    ).p_value
-
-
 def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     """Greedy fit with the per-rule invariance filter and stopping test.
 

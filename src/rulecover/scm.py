@@ -41,13 +41,6 @@ class ScmConfig:
             raise ConfigError(f"max_rules must be >= 1, got {self.max_rules}")
 
 
-def utility(rule, negative_features, positive_features, p):
-    """Covered negatives minus p times misclassified positives."""
-    covered = int((rule.evaluate(negative_features) == 0).sum())
-    errors = int((rule.evaluate(positive_features) == 0).sum())
-    return float(covered) - p * float(errors)
-
-
 def prediction_matrix(features, rules):
     """(m, n_rules) uint8 matrix of rule outputs on a uint8 0/1 feature
     matrix."""

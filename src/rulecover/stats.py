@@ -100,38 +100,6 @@ class TestResult:
     degenerate: bool
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Counts over (label, environment) pairs: 2 rows, one column per
-    distinct environment value observed."""
-
-    counts: np.ndarray
-    n: int
-
-    @classmethod
-    def from_vectors(cls, y, e):
-        y, e = _check_pair(y, e)
-        _, e_dense = np.unique(e, return_inverse=True)
-        k = int(e_dense.max()) + 1 if e_dense.size else 0
-        flat = np.bincount(y.astype(np.int64) * k + e_dense, minlength=2 * k)
-        counts = flat.reshape(2, k)
-        return cls(counts=counts, n=int(counts.sum()))
-
-
-def _check_pair(y, e):
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    e = np.ascontiguousarray(e, dtype=np.int64)
-    if y.ndim != 1 or e.ndim != 1 or y.shape[0] != e.shape[0]:
-        raise DataError(
-            f"y and e must be equal-length vectors, got {y.shape} vs {e.shape}"
-        )
-    if y.shape[0] < 1:
-        raise DataError("need at least one sample")
-    if y.min() < 0 or y.max() > 1:
-        raise DataError("labels must be 0/1 valued")
-    return y, e
-
-
 def table_stats(counts, method):
     """Statistic and dof for a batch of contingency tables.
 
@@ -176,49 +144,52 @@ def _result_from(stat, dof):
     )
 
 
-def independence_test(y, e, method="chi2", min_samples=0):
+def _label_env_counts(y, e, strata=None):
+    """(n_strata, 2, k) label-by-environment counts, one table per distinct
+    stratum id in ascending order (one stratum when ``strata`` is None), with
+    the k distinct env ids numbered densely. Every table in this module is
+    counted here."""
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    e = np.ascontiguousarray(e, dtype=np.int64)
+    one_stratum = strata is None
+    if one_stratum:
+        strata = np.zeros_like(y)  # already dense
+    strata = np.ascontiguousarray(strata, dtype=np.int64)
+    if y.ndim != 1 or e.shape != y.shape or strata.shape != y.shape:
+        raise DataError(
+            "y, e and strata must be equal-length vectors, "
+            f"got {y.shape}, {e.shape} and {strata.shape}"
+        )
+    if y.shape[0] < 1:
+        raise DataError("need at least one sample")
+    if y.min() < 0 or y.max() > 1:
+        raise DataError("labels must be 0/1 valued")
+    _, e_dense = np.unique(e, return_inverse=True)
+    if not one_stratum:
+        _, strata = np.unique(strata, return_inverse=True)
+    return kernels.stratified_label_env_counts(
+        strata, int(strata.max()) + 1, y, e_dense, int(e_dense.max()) + 1
+    )
+
+
+def independence_test(y, e, method="chi2"):
     """Test independence of a binary label vector against environment ids.
 
-    Degenerate data (a constant row/column, or fewer than ``min_samples``
-    observations) yields dof 0 and p = 1: independence is not refutable, so
-    callers that filter on dependence treat the test as passing.
+    Degenerate data (a constant label or a single environment) yields dof 0
+    and p = 1: independence is not refutable, so callers that filter on
+    dependence treat the test as passing.
     """
-    table = ContingencyTable.from_vectors(y, e)
-    if min_samples and table.n < min_samples:
-        return TestResult(statistic=0.0, dof=0, p_value=1.0, degenerate=True)
-    stat, dof = table_stats(table.counts[None, :, :], method)
+    stat, dof = table_stats(_label_env_counts(y, e), method)
     return _result_from(stat[0], dof[0])
 
 
-def conditional_gtest(y, e, strata, min_samples_per_cell=0, n_possible_strata=None):
+def conditional_gtest(y, e, strata):
     """G-test of y against e within strata, summed across strata.
 
     The statistic and dof are accumulated over non-empty strata only, with
-    per-stratum dof counting nonzero marginals. When ``min_samples_per_cell``
-    is positive, the test is declared degenerate (p = 1) unless the sample
-    count reaches ``min_samples_per_cell * 2 * k * n_possible_strata`` --
-    i.e. that many samples per cell of the full stratified table. Pass
-    ``n_possible_strata`` when the structural number of strata exceeds the
-    observed one (e.g. 2**|S| for a conditioning set S of binary features).
+    per-stratum dof counting nonzero marginals.
     """
-    y, e = _check_pair(y, e)
-    strata = np.ascontiguousarray(strata, dtype=np.int64)
-    if strata.shape[0] != y.shape[0]:
-        raise DataError(
-            f"strata length {strata.shape[0]} does not match sample count {y.shape[0]}"
-        )
-    _, e_dense = np.unique(e, return_inverse=True)
-    k = int(e_dense.max()) + 1
-    _, strata_dense = np.unique(strata, return_inverse=True)
-    n_strata = int(strata_dense.max()) + 1
-    if min_samples_per_cell:
-        cells = 2 * k * int(n_possible_strata if n_possible_strata else n_strata)
-        if y.shape[0] < min_samples_per_cell * cells:
-            return TestResult(statistic=0.0, dof=0, p_value=1.0, degenerate=True)
-    counts = kernels.stratified_label_env_counts(
-        strata_dense, n_strata, y, e_dense, k
-    )
-    return stratified_gtest(counts)
+    return stratified_gtest(_label_env_counts(y, e, strata))
 
 
 def stratified_gtest(counts):

@@ -2,8 +2,29 @@ import numpy as np
 import pytest
 
 from rulecover.data import Dataset, StopReason
-from rulecover.icscm import leaf_invariance_pvalue
 from rulecover.stats import independence_test
+
+
+def utility(rule, negative_features, positive_features, p):
+    """Covered negatives minus p times misclassified positives."""
+    covered = int((rule.evaluate(negative_features) == 0).sum())
+    errors = int((rule.evaluate(positive_features) == 0).sum())
+    return float(covered) - p * float(errors)
+
+
+def leaf_invariance_pvalue(rule, dataset, min_leaf=10, method="chi2", active=None):
+    """p-value of the label-vs-environment independence test over the
+    samples the rule sends to its negative leaf (rule output 0), restricted
+    to ``active`` samples when given. Returns 1 when the leaf holds fewer
+    than ``min_leaf`` samples."""
+    leaf = rule.evaluate(dataset.features) == 0
+    if active is not None:
+        leaf &= active
+    if int(leaf.sum()) < min_leaf:
+        return 1.0
+    return independence_test(
+        dataset.labels[leaf], dataset.envs[leaf], method=method
+    ).p_value
 
 
 def greedy_reference(features, labels, p, max_rules, rules):

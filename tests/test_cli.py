@@ -138,6 +138,21 @@ def test_fit_non_utf8_csv_is_data_error(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_fit_oversized_csv_field_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text('x0,y,e\n0,1,0\n"' + "1" * 200_000 + '",0,1\n')
+    assert main(["fit", "--data", str(path)]) == 3
+    assert "field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [2**63, 10**20])
+def test_fit_env_id_beyond_int64_is_data_error(env, tmp_path, capsys):
+    path = tmp_path / "wide_env.csv"
+    path.write_text(f"x0,y,e\n0,1,0\n1,0,{env}\n")
+    assert main(["fit", "--data", str(path)]) == 3
+    assert "wide_env.csv:3: column 'e'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--alpha", "0.05"], ["--min-leaf", "10"], ["--test-method", "gtest"],
@@ -195,6 +210,21 @@ def test_prune_refuses_bad_model_and_alpha(sim_dir, tmp_path, capsys):
         )
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["feature_index", "expected_value"])
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+def test_prune_refuses_non_integer_model_fields(field, value, sim_dir, tmp_path, capsys):
+    rule = {"feature_index": 1, "expected_value": 1, field: value}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(
+        json.dumps({"model_type": "conjunction", "rules": [rule]})
+    )
+    code = main(
+        ["prune", "--data", str(sim_dir / "dataset.csv"), "--model", str(model_path)]
+    )
+    assert code == 3
+    assert "must be JSON integers" in capsys.readouterr().err
 
 
 def test_icp_subcommand(sim_dir, tmp_path, capsys):

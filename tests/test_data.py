@@ -46,14 +46,12 @@ def test_empty_conjunction_predicts_one():
 
 def test_conjunction_truth_table():
     model = Conjunction(rules=(Rule(0, 1), Rule(1, 1)))
-    assert model.predict_one([1, 1, 0]) == 1
-    assert model.predict_one([1, 0, 0]) == 0
+    assert model.predict([[1, 1, 0], [1, 0, 0]]).tolist() == [1, 0]
 
 
 def test_disjunction_de_morgan_example():
     model = Conjunction(rules=(Rule(0, 1), Rule(1, 1)), is_disjunction=True)
-    assert model.predict_one([0, 1]) == 1
-    assert model.predict_one([0, 0]) == 0
+    assert model.predict([[0, 1], [0, 0]]).tolist() == [1, 0]
 
 
 def test_de_morgan_identity_exhaustive():
@@ -72,7 +70,7 @@ def test_de_morgan_identity_exhaustive():
         )
         for bits in itertools.product((0, 1), repeat=d):
             x = np.array(bits, dtype=np.uint8)
-            assert conj.predict_one(x) == 1 - disj_neg.predict_one(x)
+            assert conj.predict(x)[0] == 1 - disj_neg.predict(x)[0]
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=5),
@@ -80,8 +78,8 @@ def test_de_morgan_identity_exhaustive():
 def test_predict_is_pure(rule_spec, bits):
     model = Conjunction(rules=tuple(Rule(j, v) for j, v in rule_spec))
     x = np.array(bits, dtype=np.uint8)
-    assert model.predict_one(x) == model.predict_one(x)
-    assert model.predict_one(x) in (0, 1)
+    assert model.predict(x).tolist() == model.predict(x).tolist()
+    assert model.predict(x).tolist() in ([0], [1])
 
 
 def _dataset(features, labels=None, envs=None):
@@ -168,6 +166,12 @@ def test_dataset_rejects_labels_the_cast_would_change():
 def test_dataset_rejects_fractional_env_ids():
     with pytest.raises(DataError, match="environment ids"):
         Dataset(features=[[0], [1]], labels=[0, 1], envs=[1.7, 0])
+
+
+@pytest.mark.parametrize("env", [2**63, 10**20, -(2**64)])
+def test_dataset_rejects_env_ids_beyond_int64(env):
+    with pytest.raises(DataError, match="environment ids"):
+        Dataset(features=[[0], [1]], labels=[0, 1], envs=[0, env])
 
 
 def test_dataset_arrays_are_read_only():

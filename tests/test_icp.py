@@ -6,7 +6,7 @@ import pytest
 from rulecover.data import Dataset
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import derive_run_seed
-from rulecover.icp import IcpConfig, IcpReport, SubsetTest, icp_fit, icp_report
+from rulecover.icp import IcpConfig, IcpReport, SubsetTest, icp_report
 from rulecover.simulator import SimConfig, simulate
 from rulecover.stats import conditional_gtest, joint_strata
 
@@ -34,7 +34,7 @@ def test_single_environment_rejected():
         envs=np.zeros(2, dtype=np.int64),
     )
     with pytest.raises(ConfigError):
-        icp_fit(ds, IcpConfig())
+        icp_report(ds, IcpConfig())
 
 
 def test_fully_independent_data_returns_empty_set():
@@ -64,7 +64,7 @@ def test_identifies_parents_on_simulated_data():
         ds, truth = simulate(
             SimConfig(n_distractors=2, seed=derive_run_seed(201, 2, run))
         )
-        hits += icp_fit(ds, IcpConfig()) == set(truth.parent_indices)
+        hits += icp_report(ds, IcpConfig()).selected == set(truth.parent_indices)
     assert hits >= 4
 
 
@@ -97,12 +97,12 @@ def test_max_subset_size_caps_enumeration():
 def test_feasibility_refusal():
     ds = _independent_dataset(seed=3, d=25)
     with pytest.raises(InfeasibleError):
-        icp_fit(ds, IcpConfig(feasibility_limit=20))
+        icp_report(ds, IcpConfig(feasibility_limit=20))
     # capping restores feasibility
-    selected = icp_fit(
+    report = icp_report(
         ds, IcpConfig(max_subset_size=1, feasibility_limit=20, min_samples_per_cell=0)
     )
-    assert isinstance(selected, set)
+    assert isinstance(report.selected, frozenset)
 
 
 def test_deficiency_guard_marks_large_subsets_degenerate():
@@ -124,23 +124,28 @@ def test_tests_cover_the_full_powerset():
 
 
 def _reference_report(dataset, config):
-    """The subset scan as one conditional_gtest over all m samples per subset."""
+    """The subset scan as one conditional_gtest over all m samples per subset,
+    with the guard applied inline: a subset is degenerate (p = 1) unless the
+    data fills ``min_samples_per_cell`` samples per cell of its 2 * k * 2**|S|
+    (label, env, stratum) cells."""
     d = dataset.n_features
+    k = dataset.n_distinct_envs
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
     tests, selected = [], None
     for size in range(max_size + 1):
         for subset in combinations(range(d), size):
-            result = conditional_gtest(
-                dataset.labels,
-                dataset.envs,
-                joint_strata(dataset.features, subset),
-                min_samples_per_cell=config.min_samples_per_cell,
-                n_possible_strata=2 ** len(subset),
-            )
-            accepted = result.p_value > config.alpha
-            tests.append(
-                SubsetTest(subset, float(result.p_value), accepted, result.degenerate)
-            )
+            cells = 2 * k * 2 ** len(subset)
+            if dataset.n_samples < config.min_samples_per_cell * cells:
+                p_value, degenerate = 1.0, True
+            else:
+                result = conditional_gtest(
+                    dataset.labels,
+                    dataset.envs,
+                    joint_strata(dataset.features, subset),
+                )
+                p_value, degenerate = float(result.p_value), result.degenerate
+            accepted = p_value > config.alpha
+            tests.append(SubsetTest(subset, p_value, accepted, degenerate))
             if accepted:
                 selected = (
                     frozenset(subset) if selected is None else selected & set(subset)

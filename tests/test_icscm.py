@@ -6,11 +6,11 @@ import pytest
 from rulecover.data import Conjunction, Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError, DataError
 from rulecover.harness import derive_run_seed
-from rulecover.icscm import IcscmConfig, icscm_fit, leaf_invariance_pvalue, prune
+from rulecover.icscm import IcscmConfig, icscm_fit, prune
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.simulator import SimConfig, simulate
 
-from conftest import eager_icscm_reference, random_instance
+from conftest import eager_icscm_reference, leaf_invariance_pvalue, random_instance
 
 
 def _sim(xb=3, seed=0, m=10000):

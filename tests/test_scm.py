@@ -3,9 +3,9 @@ import pytest
 
 from rulecover.data import Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError
-from rulecover.scm import ScmConfig, scm_fit, utility
+from rulecover.scm import ScmConfig, scm_fit
 
-from conftest import greedy_reference, random_instance
+from conftest import greedy_reference, random_instance, utility
 
 
 def test_utility_direct_formula():
