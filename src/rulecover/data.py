@@ -29,18 +29,6 @@ class Rule:
         if self.expected_value not in (0, 1):
             raise DataError(f"expected_value must be 0 or 1, got {self.expected_value}")
 
-    def evaluate(self, features):
-        """Vector of rule outputs (uint8) over the rows of a feature matrix."""
-        features = np.asarray(features)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        if self.feature_index >= features.shape[1]:
-            raise DataError(
-                f"rule on feature {self.feature_index} applied to "
-                f"{features.shape[1]}-column data"
-            )
-        return (features[:, self.feature_index] == self.expected_value).astype(np.uint8)
-
     def negated(self):
         return Rule(self.feature_index, 1 - self.expected_value)
 
@@ -64,19 +52,10 @@ class Conjunction:
         object.__setattr__(self, "rules", tuple(self.rules))
 
     def predict(self, features):
-        features = np.asarray(features)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        m = features.shape[0]
-        if self.is_disjunction:
-            out = np.zeros(m, dtype=np.uint8)
-            for rule in self.rules:
-                out |= rule.evaluate(features)
-        else:
-            out = np.ones(m, dtype=np.uint8)
-            for rule in self.rules:
-                out &= rule.evaluate(features)
-        return out
+        """uint8 model output per row of a feature matrix (or one row)."""
+        outputs = prediction_matrix(np.atleast_2d(features), self.rules)
+        fired = outputs.any(axis=1) if self.is_disjunction else outputs.all(axis=1)
+        return fired.view(np.uint8)
 
     def feature_indices(self):
         return frozenset(rule.feature_index for rule in self.rules)
@@ -225,6 +204,25 @@ class Dataset:
         return int(np.unique(self.envs).size)
 
 
+def prediction_matrix(features, rules):
+    """(m, n_rules) uint8 matrix of rule outputs on a 2-D feature matrix; every
+    model output and every fit's leaf table is computed from it."""
+    features = np.asarray(features)
+    index = np.array([rule.feature_index for rule in rules], dtype=np.intp)
+    if index.size and index.max() >= features.shape[1]:
+        raise DataError(
+            f"rule on feature {index.max()} applied to "
+            f"{features.shape[1]}-column data"
+        )
+    out = np.take(features, index, axis=1)
+    values = np.array([rule.expected_value for rule in rules], dtype=np.uint8)
+    # uint8 input (every Dataset) is compared in place, without a second m x n
+    # buffer; any other dtype is compared at its own width.
+    fired = out.view(bool) if out.dtype == np.uint8 else np.empty(out.shape, bool)
+    np.equal(out, values, out=fired)
+    return fired.view(np.uint8)
+
+
 def candidate_rules(dataset):
     """The 2-per-feature equality stumps, skipping any rule whose truth
     vector is constant on the dataset (constant columns yield no usable
@@ -274,6 +272,9 @@ def _csv_rows(fh, path):
 
 
 def load_dataset_csv(path):
+    """One pass of the ``csv`` module; each row's 0/1 fields are checked by
+    one set test and kept as a string of bits for one ``np.frombuffer``. Env
+    ids are ASCII decimal digits below 2**63."""
     path = Path(path)
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -289,7 +290,9 @@ def load_dataset_csv(path):
             raise DataError(f"{path}: header must end with 'y,e', got {header}")
         names = tuple(header[:-2])
         d = len(names)
-        features, labels, envs = [], [], []
+        columns = names + ("y",)
+        is_binary = frozenset("01").issuperset
+        bits, envs = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -297,39 +300,29 @@ def load_dataset_csv(path):
                 raise DataError(
                     f"{path}:{lineno}: expected {d + 2} columns, got {len(row)}"
                 )
-            feat_row = []
-            for j, value in enumerate(row[:d]):
-                if value not in ("0", "1"):
-                    raise DataError(
-                        f"{path}:{lineno}: column '{names[j]}': "
-                        f"expected 0/1, got {value!r}"
-                    )
-                feat_row.append(int(value))
-            if row[d] not in ("0", "1"):
+            if not is_binary(row[: d + 1]):  # scan again to name the column
+                j = next(j for j in range(d + 1) if row[j] not in ("0", "1"))
                 raise DataError(
-                    f"{path}:{lineno}: column 'y': expected 0/1, got {row[d]!r}"
+                    f"{path}:{lineno}: column '{columns[j]}': "
+                    f"expected 0/1, got {row[j]!r}"
                 )
-            try:
-                env = int(row[d + 1])
-            except ValueError:
+            env = row[d + 1]
+            if not (env.isascii() and env.isdigit()) or (
+                len(env) > 18 and int(env) >= 2**63
+            ):
                 raise DataError(
-                    f"{path}:{lineno}: column 'e': expected an integer, "
-                    f"got {row[d + 1]!r}"
-                ) from None
-            if env < 0:
-                raise DataError(f"{path}:{lineno}: column 'e': negative env id {env}")
-            if env >= 2**63:
-                raise DataError(
-                    f"{path}:{lineno}: column 'e': env id {env} exceeds 2**63 - 1"
+                    f"{path}:{lineno}: column 'e': expected an integer in "
+                    f"[0, 2**63), got {env!r}"
                 )
-            features.append(feat_row)
-            labels.append(int(row[d]))
+            bits.append("".join(row[: d + 1]))
             envs.append(env)
-    if not features:
+    if not bits:
         raise DataError(f"{path}: no data rows")
+    table = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
+    table = table.reshape(-1, d + 1) - ord("0")
     return Dataset(
-        features=np.array(features, dtype=np.uint8),
-        labels=np.array(labels, dtype=np.uint8),
+        features=table[:, :d],
+        labels=table[:, d],
         envs=np.array(envs, dtype=np.int64),
         feature_names=names,
     )

@@ -276,25 +276,18 @@ def write_manifest(grid, out_dir):
 
 
 def run_runtime_benchmark(grid, repeats=3, out_dir=None):
-    """Median-of-``repeats`` fit wall time per (method, xb_size) cell,
-    measured sequentially (data generation excluded from the timing).
+    """Median fit wall time per (method, xb_size) over the grid's first
+    ``repeats`` runs, fitted sequentially (data generation is not timed).
     Returns rows of dicts; optionally writes benchmark.csv."""
     check_icp_feasible(grid)
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    timed = replace(grid, record_timings=True)
     rows = []
     for xb_size in grid.xb_sizes:
-        datasets = []
-        for rep in range(repeats):
-            seed = derive_run_seed(grid.master_seed, xb_size, rep)
-            sim = replace(grid.base_sim, n_distractors=xb_size, seed=seed)
-            datasets.append(simulate(sim)[0])
-        for method in grid.methods:
-            times = []
-            for dataset in datasets:
-                start = time.perf_counter()
-                _fit_selected(method, dataset, grid)
-                times.append(time.perf_counter() - start)
+        cells = [_run_cell((timed, xb_size, rep)) for rep in range(repeats)]
+        for i, method in enumerate(grid.methods):
+            times = [cell[i].wall_time_s for cell in cells]
             rows.append(
                 {
                     "method": method,

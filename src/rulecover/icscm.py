@@ -10,7 +10,7 @@ from functools import partial
 
 from .data import Conjunction
 from .errors import ConfigError, DataError
-from .scm import _greedy_fit
+from .scm import ScmConfig, _greedy_fit
 from .stats import (
     chi2_sf,
     conditional_gtest,
@@ -22,20 +22,20 @@ from .stats import (
 # Not called here: the greedy engine in scm.py builds the candidates and the
 # prediction matrix, and the traced benchmark (perfbench/layers.py) rebinds
 # these names on this module, so they stay importable from here.
-from .data import candidate_rules  # noqa: F401
-from .scm import prediction_matrix  # noqa: F401
+from .data import candidate_rules, prediction_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
 class IcscmConfig:
     """Hyperparameters of the invariance-filtered learner.
 
-    alpha: threshold on independence-test p-values, both for the per-rule
-    leaf filter and the stopping test. min_leaf: leaves smaller than this are
-    treated as degenerate (p = 1, not refutable); the asymptotic chi-square
-    null is meaningless on a handful of samples. test_method: 'chi2' or
-    'gtest' for the leaf and stopping tests. prune: apply the conditional
-    G-test pruning pass to the fitted model.
+    p, max_rules: as in ScmConfig, which checks them. alpha: threshold on
+    independence-test p-values, both for the per-rule leaf filter and the
+    stopping test. min_leaf: leaves smaller than this are treated as
+    degenerate (p = 1, not refutable); the asymptotic chi-square null is
+    meaningless on a handful of samples. test_method: 'chi2' or 'gtest' for
+    the leaf and stopping tests. prune: apply the conditional G-test pruning
+    pass to the fitted model.
     """
 
     p: float = 1.0
@@ -46,10 +46,7 @@ class IcscmConfig:
     prune: bool = True
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ConfigError(f"p must be positive, got {self.p}")
-        if self.max_rules < 1:
-            raise ConfigError(f"max_rules must be >= 1, got {self.max_rules}")
+        ScmConfig(self.p, self.max_rules)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.min_leaf < 1:

@@ -11,6 +11,7 @@ The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
 learner, which adds a leaf filter and a stopping test to it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,32 +23,25 @@ from .data import (
     IterationRecord,
     StopReason,
     candidate_rules,
+    prediction_matrix,
 )
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class ScmConfig:
-    """p: utility trade-off, the penalty on each misclassified positive;
-    max_rules: cap on the conjunction length."""
+    """p: utility trade-off, the finite positive penalty on each
+    misclassified positive; max_rules: cap on the conjunction length."""
 
     p: float = 1.0
     max_rules: int = 10
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ConfigError(f"p must be positive, got {self.p}")
+        # p = inf would make 0 * p NaN for every rule with no errors
+        if not 0 < self.p < math.inf:
+            raise ConfigError(f"p must be finite and positive, got {self.p}")
         if self.max_rules < 1:
             raise ConfigError(f"max_rules must be >= 1, got {self.max_rules}")
-
-
-def prediction_matrix(features, rules):
-    """(m, n_rules) uint8 matrix of rule outputs on a uint8 0/1 feature
-    matrix."""
-    out = np.take(features, [rule.feature_index for rule in rules], axis=1)
-    values = np.array([rule.expected_value for rule in rules], dtype=np.uint8)
-    np.equal(out, values, out=out.view(bool))
-    return out
 
 
 def scm_fit(dataset, config, rules=None, model_type="conjunction"):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, save_dataset_csv, write_json
+from .data import Conjunction, Dataset, Rule, save_dataset_csv, write_json
 from .errors import ConfigError
 
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
@@ -139,15 +139,12 @@ def simulate(config):
 def oracle_accuracy(dataset, truth):
     """(accuracy of the parents' AND, accuracy of the child copy) as label
     predictors; the generative process makes the child the better one."""
-    parents = sorted(truth.parent_indices)
-    conj = np.ones(dataset.n_samples, dtype=np.uint8)
-    for j in parents:
-        conj &= dataset.features[:, j]
-    acc_parents = float((conj == dataset.labels).mean())
-    acc_child = float(
-        (dataset.features[:, truth.child_index] == dataset.labels).mean()
-    )
-    return acc_parents, acc_child
+
+    def accuracy(columns):
+        model = Conjunction(rules=tuple(Rule(j, 1) for j in sorted(columns)))
+        return float((model.predict(dataset.features) == dataset.labels).mean())
+
+    return accuracy(truth.parent_indices), accuracy({truth.child_index})
 
 
 def save_simulation(dataset, truth, config, out_dir):

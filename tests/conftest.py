@@ -1,14 +1,95 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rulecover.data import Dataset, StopReason
+from rulecover.data import Dataset, StopReason, _csv_rows
+from rulecover.errors import DataError
 from rulecover.stats import independence_test
+
+
+def evaluate(rule, features):
+    """Vector of rule outputs (uint8) over the rows of a feature matrix: the
+    per-rule reference for ``data.prediction_matrix``."""
+    features = np.asarray(features)
+    if features.ndim == 1:
+        features = features.reshape(1, -1)
+    if rule.feature_index >= features.shape[1]:
+        raise DataError(
+            f"rule on feature {rule.feature_index} applied to "
+            f"{features.shape[1]}-column data"
+        )
+    return (features[:, rule.feature_index] == rule.expected_value).astype(np.uint8)
+
+
+def load_dataset_csv_reference(path):
+    """Field-by-field reference for ``data.load_dataset_csv``. It parses env
+    ids with ``int()``, so it is looser than the loader on those."""
+    path = Path(path)
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = _csv_rows(fh, path)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(header) < 3 or header[-2:] != ["y", "e"]:
+            raise DataError(f"{path}: header must end with 'y,e', got {header}")
+        names = tuple(header[:-2])
+        d = len(names)
+        features, labels, envs = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise DataError(
+                    f"{path}:{lineno}: expected {d + 2} columns, got {len(row)}"
+                )
+            feat_row = []
+            for j, value in enumerate(row[:d]):
+                if value not in ("0", "1"):
+                    raise DataError(
+                        f"{path}:{lineno}: column '{names[j]}': "
+                        f"expected 0/1, got {value!r}"
+                    )
+                feat_row.append(int(value))
+            if row[d] not in ("0", "1"):
+                raise DataError(
+                    f"{path}:{lineno}: column 'y': expected 0/1, got {row[d]!r}"
+                )
+            try:
+                env = int(row[d + 1])
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: column 'e': expected an integer, "
+                    f"got {row[d + 1]!r}"
+                ) from None
+            if env < 0:
+                raise DataError(f"{path}:{lineno}: column 'e': negative env id {env}")
+            if env >= 2**63:
+                raise DataError(
+                    f"{path}:{lineno}: column 'e': env id {env} exceeds 2**63 - 1"
+                )
+            features.append(feat_row)
+            labels.append(int(row[d]))
+            envs.append(env)
+    if not features:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(
+        features=np.array(features, dtype=np.uint8),
+        labels=np.array(labels, dtype=np.uint8),
+        envs=np.array(envs, dtype=np.int64),
+        feature_names=names,
+    )
 
 
 def utility(rule, negative_features, positive_features, p):
     """Covered negatives minus p times misclassified positives."""
-    covered = int((rule.evaluate(negative_features) == 0).sum())
-    errors = int((rule.evaluate(positive_features) == 0).sum())
+    covered = int((evaluate(rule, negative_features) == 0).sum())
+    errors = int((evaluate(rule, positive_features) == 0).sum())
     return float(covered) - p * float(errors)
 
 
@@ -17,7 +98,7 @@ def leaf_invariance_pvalue(rule, dataset, min_leaf=10, method="chi2", active=Non
     samples the rule sends to its negative leaf (rule output 0), restricted
     to ``active`` samples when given. Returns 1 when the leaf holds fewer
     than ``min_leaf`` samples."""
-    leaf = rule.evaluate(dataset.features) == 0
+    leaf = evaluate(rule, dataset.features) == 0
     if active is not None:
         leaf &= active
     if int(leaf.sum()) < min_leaf:
@@ -90,7 +171,7 @@ def eager_icscm_reference(dataset, config, rules):
             )
             if p_value <= config.alpha:
                 continue
-            leaf = active & (rule.evaluate(features) == 0)
+            leaf = active & (evaluate(rule, features) == 0)
             score = float((leaf & (labels == 0)).sum()) - config.p * float(
                 (leaf & (labels == 1)).sum()
             )
@@ -101,7 +182,7 @@ def eager_icscm_reference(dataset, config, rules):
         score, idx, p_value = best
         used.add(idx)
         chosen.append(rules[idx])
-        active &= rules[idx].evaluate(features) == 1
+        active &= evaluate(rules[idx], features) == 1
         gamma = 1.0
         if active.any():
             gamma = independence_test(

@@ -153,6 +153,26 @@ def test_fit_env_id_beyond_int64_is_data_error(env, tmp_path, capsys):
     assert "wide_env.csv:3: column 'e'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env", [" 0", "1_0", "+1", "\u0663", "-1", ""])
+def test_fit_env_id_not_ascii_digits_is_data_error(env, tmp_path, capsys):
+    # int() would read these as 0, 10, 1, 3 and -1
+    path = tmp_path / "loose_env.csv"
+    path.write_text(f"x0,y,e\n0,1,0\n1,0,{env}\n", encoding="utf-8")
+    assert main(["fit", "--data", str(path)]) == 3
+    assert "loose_env.csv:3: column 'e'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["scm", "icscm"])
+@pytest.mark.parametrize("p", ["inf", "nan", "0"])
+def test_fit_non_finite_p_is_config_error(sim_dir, method, p, capsys):
+    code = main(
+        ["fit", "--data", str(sim_dir / "dataset.csv"), "--method", method,
+         "--p", p]
+    )
+    assert code == 2
+    assert "p must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--alpha", "0.05"], ["--min-leaf", "10"], ["--test-method", "gtest"],

@@ -13,17 +13,23 @@ from rulecover.data import (
     candidate_rules,
     load_dataset_csv,
     load_model_json,
+    prediction_matrix,
     save_dataset_csv,
     save_model_json,
 )
 from rulecover.errors import DataError
 
+from conftest import evaluate, load_dataset_csv_reference
+
 
 def test_rule_evaluate_truth():
     rule = Rule(1, 1)
     X = np.array([[0, 1], [0, 0], [1, 1]], dtype=np.uint8)
-    assert rule.evaluate(X).tolist() == [1, 0, 1]
-    assert Rule(0, 0).evaluate(X).tolist() == [1, 1, 0]
+    assert evaluate(rule, X).tolist() == [1, 0, 1]
+    assert evaluate(Rule(0, 0), X).tolist() == [1, 1, 0]
+    assert prediction_matrix(X, [rule, Rule(0, 0)]).tolist() == [
+        [1, 1], [0, 1], [1, 0]
+    ]
 
 
 def test_rule_validation():
@@ -34,8 +40,14 @@ def test_rule_validation():
 
 
 def test_rule_out_of_range_feature():
+    X = np.zeros((3, 2), dtype=np.uint8)
     with pytest.raises(DataError):
-        Rule(5, 1).evaluate(np.zeros((3, 2), dtype=np.uint8))
+        evaluate(Rule(5, 1), X)
+    with pytest.raises(DataError, match="rule on feature 5 applied to 2-column"):
+        prediction_matrix(X, [Rule(0, 1), Rule(5, 1)])
+    for is_disjunction in (False, True):
+        with pytest.raises(DataError):
+            Conjunction((Rule(5, 1),), is_disjunction).predict(X)
 
 
 def test_empty_conjunction_predicts_one():
@@ -80,6 +92,33 @@ def test_predict_is_pure(rule_spec, bits):
     x = np.array(bits, dtype=np.uint8)
     assert model.predict(x).tolist() == model.predict(x).tolist()
     assert model.predict(x).tolist() in ([0], [1])
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([np.uint8, np.int64, bool]),
+    st.integers(0, 2**32 - 1),
+)
+def test_prediction_matrix_matches_per_rule_reference(rule_spec, m, dtype, seed):
+    # int64 inputs (such as 257) are compared at their own width, not as uint8
+    rules = [Rule(j, v) for j, v in rule_spec]
+    X = np.random.default_rng(seed).choice([0, 1, 257], (m, 4)).astype(dtype)
+    before = X.copy()
+    out = prediction_matrix(X, rules)
+    assert out.dtype == np.uint8 and out.shape == (m, len(rules))
+    expected_and = np.ones(m, dtype=np.uint8)
+    expected_or = np.zeros(m, dtype=np.uint8)
+    for k, rule in enumerate(rules):
+        assert np.array_equal(out[:, k], evaluate(rule, X))
+        expected_and &= evaluate(rule, X)
+        expected_or |= evaluate(rule, X)
+    assert np.array_equal(X, before)
+    conj = Conjunction(rules=tuple(rules)).predict(X)
+    disj = Conjunction(rules=tuple(rules), is_disjunction=True).predict(X)
+    assert conj.dtype == disj.dtype == np.uint8
+    assert np.array_equal(conj, expected_and)
+    assert np.array_equal(disj, expected_or)
 
 
 def _dataset(features, labels=None, envs=None):
@@ -229,6 +268,75 @@ def test_csv_bad_header(tmp_path):
     path.write_text("x0,x1,label\n0,1,0\n")
     with pytest.raises(DataError, match="header"):
         load_dataset_csv(path)
+
+
+_DEVIATIONS = ("crlf", "quoted", "blank", "ragged", "bad_bit", "header")
+
+
+@st.composite
+def _csv_texts(draw):
+    """A dataset CSV in canonical form, then altered by a random subset of
+    _DEVIATIONS. Env ids stay ASCII digits, where both loaders agree."""
+    d = draw(st.integers(1, 4))
+    # leading zeros may take a valid id past 18 digits
+    env = st.builds(
+        lambda zeros, value: "0" * zeros + str(value),
+        st.sampled_from([0, 0, 1, 20]),
+        st.sampled_from([0, 7, 999]) | st.integers(0, 2**63 - 1),
+    )
+    bit = st.sampled_from("01")
+    lines = [[f"x{j}" for j in range(d)] + ["y", "e"]]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append([draw(bit) for _ in range(d + 1)] + [draw(env)])
+    deviations = draw(st.sets(st.sampled_from(_DEVIATIONS), max_size=2))
+    if "header" in deviations:
+        lines[0][-draw(st.integers(1, 2))] = draw(st.sampled_from(["Y", "env", ""]))
+    if "bad_bit" in deviations and len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        lines[row][draw(st.integers(0, d))] = draw(
+            st.sampled_from(["2", "", " 1", "01", "x", "1.0", "\u0661"])
+        )
+    if "ragged" in deviations and len(lines) > 1:
+        row = lines[draw(st.integers(1, len(lines) - 1))]
+        if draw(st.booleans()):
+            row.append(draw(bit))
+        else:
+            row.pop()
+    if "quoted" in deviations:
+        for row in lines:
+            for j in range(len(row)):
+                if draw(st.booleans()):
+                    row[j] = f'"{row[j]}"'
+    text = [",".join(row) for row in lines]
+    if "blank" in deviations:
+        for _ in range(draw(st.integers(1, 3))):
+            text.insert(draw(st.integers(1, len(text))), "")
+    newline = "\r\n" if "crlf" in deviations else "\n"
+    return newline.join(text) + newline
+
+
+def _load_outcome(loader, path):
+    try:
+        ds = loader(path)
+    except DataError as exc:
+        return str(exc)
+    return (
+        ds.features.dtype, ds.features.tolist(), ds.labels.dtype,
+        ds.labels.tolist(), ds.envs.dtype, ds.envs.tolist(), ds.feature_names,
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "data.csv"
+
+
+@given(_csv_texts())
+def test_loader_matches_field_by_field_reference(scratch_csv, text):
+    scratch_csv.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(load_dataset_csv, scratch_csv) == _load_outcome(
+        load_dataset_csv_reference, scratch_csv
+    )
 
 
 def test_model_json_round_trip(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from rulecover.data import Dataset, Rule, StopReason, candidate_rules
-from rulecover.errors import ConfigError
+from rulecover.errors import ConfigError, DataError
+from rulecover.icscm import IcscmConfig, icscm_fit
 from rulecover.scm import ScmConfig, scm_fit
+from rulecover.simulator import SimConfig, simulate
 
-from conftest import greedy_reference, random_instance, utility
+from conftest import evaluate, greedy_reference, random_instance, utility
 
 
 def test_utility_direct_formula():
@@ -23,6 +25,27 @@ def test_config_validation():
         ScmConfig(p=0.0)
     with pytest.raises(ConfigError):
         ScmConfig(max_rules=0)
+
+
+@pytest.mark.parametrize("config", [ScmConfig, IcscmConfig])
+@pytest.mark.parametrize("p", [float("inf"), float("nan"), -float("inf")])
+def test_config_refuses_non_finite_p(config, p):
+    # p = inf fitted "x0==1 and x0==0": 0 * inf made error-free rules NaN
+    with pytest.raises(ConfigError, match="finite"):
+        config(p=p)
+
+
+@pytest.mark.parametrize(
+    "fit, config",
+    [(scm_fit, ScmConfig()), (icscm_fit, IcscmConfig())],
+    ids=["scm", "icscm"],
+)
+@pytest.mark.parametrize("model_type", ["conjunction", "disjunction"])
+def test_custom_rule_beyond_the_data_is_data_error(fit, config, model_type):
+    ds, _ = simulate(SimConfig(n_distractors=3, n_samples_per_env=100))
+    assert ds.n_features == 6
+    with pytest.raises(DataError, match="rule on feature 99 applied to 6-column"):
+        fit(ds, config, rules=[Rule(0, 1), Rule(99, 1)], model_type=model_type)
 
 
 def test_noiseless_and_fit(xor_and_dataset):
@@ -107,9 +130,9 @@ def test_negative_pool_never_grows_and_shrinks_on_coverage():
         previous = int((ds.labels[active] == 0).sum())
         for rec in report.per_iteration_log:
             covered = int(
-                ((rec.rule.evaluate(ds.features) == 0) & active & (ds.labels == 0)).sum()
+                ((evaluate(rec.rule, ds.features) == 0) & active & (ds.labels == 0)).sum()
             )
-            active &= rec.rule.evaluate(ds.features) == 1
+            active &= evaluate(rec.rule, ds.features) == 1
             remaining = int((ds.labels[active] == 0).sum())
             assert remaining <= previous
             if covered > 0:
