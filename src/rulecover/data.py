@@ -204,18 +204,24 @@ class Dataset:
         return int(np.unique(self.envs).size)
 
 
+def _rule_arrays(rules, n_features):
+    """The rules' feature indices (intp) and expected values (uint8), refusing
+    a rule beyond ``n_features`` columns with DataError."""
+    index = np.array([rule.feature_index for rule in rules], dtype=np.intp)
+    if index.size and index.max() >= n_features:
+        raise DataError(
+            f"rule on feature {index.max()} applied to {n_features}-column data"
+        )
+    values = np.array([rule.expected_value for rule in rules], dtype=np.uint8)
+    return index, values
+
+
 def prediction_matrix(features, rules):
     """(m, n_rules) uint8 matrix of rule outputs on a 2-D feature matrix; every
-    model output and every fit's leaf table is computed from it."""
+    model output and every rule a fit appends is applied through it."""
     features = np.asarray(features)
-    index = np.array([rule.feature_index for rule in rules], dtype=np.intp)
-    if index.size and index.max() >= features.shape[1]:
-        raise DataError(
-            f"rule on feature {index.max()} applied to "
-            f"{features.shape[1]}-column data"
-        )
+    index, values = _rule_arrays(rules, features.shape[1])
     out = np.take(features, index, axis=1)
-    values = np.array([rule.expected_value for rule in rules], dtype=np.uint8)
     # uint8 input (every Dataset) is compared in place, without a second m x n
     # buffer; any other dtype is compared at its own width.
     fired = out.view(bool) if out.dtype == np.uint8 else np.empty(out.shape, bool)

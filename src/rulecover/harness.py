@@ -72,6 +72,8 @@ class ExperimentGrid:
             raise ConfigError("xb_sizes must not be empty")
         if any(x < 0 for x in self.xb_sizes):
             raise ConfigError("xb_sizes must be non-negative")
+        if len(set(self.xb_sizes)) < len(self.xb_sizes):
+            raise ConfigError(f"xb_sizes must not repeat a size, got {self.xb_sizes}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_runs < 1:
@@ -175,8 +177,9 @@ def run_identification(grid, out_dir=None, plot_data=False):
     tasks = [
         (grid, xb, run) for xb in grid.xb_sizes for run in range(grid.n_runs)
     ]
-    if grid.jobs > 1:
-        with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
+    workers = min(grid.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_cell, tasks, chunksize=1))
     else:
         nested = [_run_cell(task) for task in tasks]

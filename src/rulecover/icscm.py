@@ -19,9 +19,9 @@ from .stats import (
     table_stats,
 )
 
-# Not called here: the greedy engine in scm.py builds the candidates and the
-# prediction matrix, and the traced benchmark (perfbench/layers.py) rebinds
-# these names on this module, so they stay importable from here.
+# Not called here: the greedy engine in scm.py builds the candidates and
+# applies each appended rule, and the traced benchmark (perfbench/layers.py)
+# rebinds these names on this module, so they stay importable from here.
 from .data import candidate_rules, prediction_matrix  # noqa: F401
 
 

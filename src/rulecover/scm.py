@@ -5,7 +5,10 @@ Each iteration scores every candidate rule by utility
 ``|covered negatives| - p * |misclassified positives|``, appends the argmax
 (ties broken by lowest candidate index) and discards the samples the new rule
 settles. Training stops when no negatives remain, the length cap is hit, or
-the candidate pool is exhausted. Running time is O(m * |rules| * max_rules).
+the candidate pool is exhausted. Every candidate is a stump on a 0/1 column,
+so one pass of per-(label, env) column sums over the active samples gives
+every candidate's leaf table: an iteration costs O(m * d) counting plus
+O(|rules|) gathering, and only the appended rule is applied to the data.
 
 The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
 learner, which adds a leaf filter and a stopping test to it.
@@ -22,10 +25,11 @@ from .data import (
     FitReport,
     IterationRecord,
     StopReason,
+    _rule_arrays,
     candidate_rules,
     prediction_matrix,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -64,16 +68,20 @@ def _greedy_fit(
     ties. ``leaf_filter(counts, order)`` instead returns the first candidate
     it accepts as (rule index, leaf p-value), or None to stop with
     ``no_valid_rule``; ``counts`` holds every rule's (label, env) leaf table
-    over the active samples. After each append, ``stop_test(labels, envs)``
-    on the samples still active returns (p-value, stop), and stop ends the
-    fit with ``invariance_reached``. Env ids are densified once, so the cost
-    does not depend on their values. A disjunction is the conjunction fit on
-    negated labels with negated rules, read back through De Morgan.
+    over the active samples, counted from the feature columns. After each
+    append, ``stop_test(labels, envs)`` on the samples still active returns
+    (p-value, stop), and stop ends the fit with ``invariance_reached``. Env
+    ids are densified once, so the cost does not depend on their values. A
+    disjunction is the conjunction fit on negated labels with negated rules,
+    read back through De Morgan. Default candidates on data where no column
+    varies raise DataError; an explicit empty rule list raises ConfigError.
     """
     if model_type not in ("conjunction", "disjunction"):
         raise ConfigError(f"unknown model_type {model_type!r}")
     if rules is None:
         rules = candidate_rules(dataset)
+        if not rules:
+            raise DataError("no feature column varies, so there is no candidate rule")
     rules = list(rules)
     if not rules:
         raise ConfigError("empty candidate rule set")
@@ -83,9 +91,9 @@ def _greedy_fit(
         rules = [r.negated() for r in rules]
 
     features = dataset.features
+    index, values = _rule_arrays(rules, features.shape[1])
     _, envs = np.unique(dataset.envs, return_inverse=True)
     n_envs = int(envs.max()) + 1
-    preds = prediction_matrix(features, rules)
     active = np.ones(features.shape[0], dtype=bool)
     available = np.ones(len(rules), dtype=bool)
     chosen = []
@@ -103,7 +111,7 @@ def _greedy_fit(
             break
 
         counts = kernels.leaf_label_env_counts(
-            preds[active], labels[active], envs[active], n_envs
+            features[active], labels[active], envs[active], n_envs, index, values
         )
         covered = counts[:, 0, :].sum(axis=1)
         errors = counts[:, 1, :].sum(axis=1)
@@ -121,7 +129,7 @@ def _greedy_fit(
 
         chosen.append(rules[best])
         available[best] = False
-        active &= preds[:, best] == 1
+        active &= prediction_matrix(features, [rules[best]])[:, 0] == 1
         stop_p = reached = None
         if stop_test is not None:
             stop_p, reached = stop_test(labels[active], envs[active])

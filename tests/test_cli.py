@@ -186,6 +186,14 @@ def test_fit_scm_refuses_icscm_flags(sim_dir, flags, capsys):
     assert "--method scm does not use" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["scm", "icscm"])
+def test_fit_all_constant_features_is_data_error(method, tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("x0,x1,y,e\n0,1,1,0\n0,1,0,1\n0,1,0,0\n0,1,1,1\n")
+    assert main(["fit", "--data", str(path), "--method", method]) == 3
+    assert "no feature column varies" in capsys.readouterr().err
+
+
 def test_fit_single_env_is_config_error(tmp_path):
     assert main(
         ["simulate", "--n-env", "1", "--samples", "200", "--force",
@@ -297,6 +305,18 @@ def test_negative_master_seed_is_config_error(command, tmp_path, capsys):
     )
     assert code == 2
     assert "master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["experiment", "benchmark"])
+@pytest.mark.parametrize("sizes", ["1,1", "1..3,2"])
+def test_repeated_xb_size_is_config_error(command, sizes, tmp_path, capsys):
+    code = main(
+        [command, "--methods", "scm", "--xb", sizes, "--samples", "100",
+         "-o", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "must not repeat a size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_rerun_byte_identical(tmp_path):

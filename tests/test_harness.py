@@ -1,8 +1,9 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+from rulecover import harness
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import (
     ExperimentGrid,
@@ -40,6 +41,13 @@ def test_grid_validation():
         ExperimentGrid(n_runs=0)
     with pytest.raises(ConfigError, match="master_seed"):
         ExperimentGrid(master_seed=-1)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2, 3, 2)])
+def test_repeated_xb_size_is_refused(sizes):
+    # a repeated size would run the same seeds twice and double n_runs
+    with pytest.raises(ConfigError, match="must not repeat a size"):
+        ExperimentGrid(xb_sizes=sizes, n_runs=2)
 
 
 def test_precision_recall_conventions():
@@ -110,6 +118,31 @@ def test_jobs_do_not_change_results():
     sequential = run_identification(_small_grid(jobs=1))
     parallel = run_identification(_small_grid(jobs=2))
     assert sequential == parallel
+
+
+def test_jobs_start_no_more_workers_than_cells(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    grid = _small_grid(methods=("scm",), xb_sizes=(1,), n_runs=2, jobs=500)
+    results = run_identification(grid)
+    assert started == [2]
+    assert results == run_identification(replace(grid, jobs=1))
+    run_identification(replace(grid, n_runs=1))
+    assert started == [2]  # a single cell runs in this process
 
 
 def test_summarize_rates():

@@ -4,6 +4,7 @@ import pytest
 from rulecover.data import Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError, DataError
 from rulecover.icscm import IcscmConfig, icscm_fit
+from rulecover import scm as scm_module
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.simulator import SimConfig, simulate
 
@@ -184,3 +185,26 @@ def test_disjunction_fits_or_concept():
     report = scm_fit(ds, ScmConfig(max_rules=3), model_type="disjunction")
     assert np.array_equal(report.model.predict(features), labels)
     assert report.selected_features == {0, 1}
+
+
+@pytest.mark.parametrize("fit", ["scm", "icscm"])
+@pytest.mark.parametrize("model_type", ["conjunction", "disjunction"])
+def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
+    # Leaf tables come from feature column sums, so the engine applies only
+    # the rule it appends, never the whole candidate list.
+    calls = []
+    inner = scm_module.prediction_matrix
+
+    def recorder(features, rules):
+        calls.append(len(rules))
+        return inner(features, rules)
+
+    monkeypatch.setattr(scm_module, "prediction_matrix", recorder)
+    ds, _ = simulate(SimConfig(n_samples_per_env=500, n_distractors=4, seed=3))
+    if fit == "scm":
+        report = scm_fit(ds, ScmConfig(), model_type=model_type)
+    else:
+        config = IcscmConfig(prune=False)
+        report = icscm_fit(ds, config, model_type=model_type)
+    assert len(report.per_iteration_log) >= 1
+    assert calls == [1] * len(report.per_iteration_log)
