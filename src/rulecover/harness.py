@@ -68,6 +68,8 @@ class ExperimentGrid:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; choices: {KNOWN_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must not repeat a method, got {self.methods}")
         if not self.xb_sizes:
             raise ConfigError("xb_sizes must not be empty")
         if any(x < 0 for x in self.xb_sizes):

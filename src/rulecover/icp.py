@@ -7,24 +7,49 @@ intersection of all subsets whose test does not reject independence. Costs
 
 The data is read once: each sample is reduced to the id of its distinct
 feature row, and one count gives a (label, environment) table per distinct
-row (cached sufficient statistics, Moore & Lee, JAIR 1998). A subset's
-stratified table is then summed from that cache, so each test costs
-O(min(m, 2**d)) instead of O(m).
+row (cached sufficient statistics, Moore & Lee, JAIR 1998). Subsets are then
+scored one size s at a time, from the largest tested size down to 0, with a
+fixed handful of numpy calls per block of subsets rather than per subset.
+With R distinct rows and k environments:
+
+- If 2**s <= R and the level's C(d, s) * 2**s tables of 2k cells fit in
+  ``_LEVEL_CELLS``, the level is held whole. It is summed from the held level
+  above when there is one (a subset's table is a marginal of its parent's,
+  the subset plus its smallest missing column): O(2**s) per subset.
+  Otherwise it is counted from the distinct rows: O(R) per subset.
+- If 2**s <= R but the level does not fit, it is counted from the distinct
+  rows and scored block by block: O(R) per subset.
+- If 2**s > R, each subset is counted on its own over the distinct rows,
+  numbering only its occupied strata: O(R) time and memory per subset.
+
+Memory is O(R) per subset in the last case. Otherwise it is at most three
+level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the level
+summed from it and one temporary) plus blocks of ``_BLOCK_CELLS`` elements.
+Counts are exact integers, and every subset's statistic is summed over its
+own tables in ascending stratum order, so p-values do not depend on how the
+subsets were grouped.
 """
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as kernels
 from .errors import ConfigError, InfeasibleError
-from .stats import joint_strata, stratified_gtest
+from .stats import _result_from, joint_strata, stratified_gtest, table_stats
 
 # Not called here (icp_report sums the same tables from a cache); the traced
 # benchmark (perfbench/layers.py) rebinds this module's conditional_gtest.
 from .stats import conditional_gtest  # noqa: F401
+
+
+# Table cells (float64) of the largest level held whole, and array elements
+# per block of one counting or scoring pass: bound the memory a level takes.
+_LEVEL_CELLS = 2**20
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -67,10 +92,12 @@ class IcpReport:
 
 def icp_report(dataset, config):
     """Run the full subset scan and keep the per-subset log."""
-    if dataset.n_distinct_envs < 2:
+    env_ids, envs = np.unique(dataset.envs, return_inverse=True)
+    k = len(env_ids)
+    if k < 2:
         raise ConfigError(
             "invariance is untestable on single-environment data "
-            f"(got {dataset.n_distinct_envs} distinct environment id)"
+            f"(got {k} distinct environment id)"
         )
     d = dataset.n_features
     if config.max_subset_size is None and d > config.feasibility_limit:
@@ -79,28 +106,53 @@ def icp_report(dataset, config):
             "set max_subset_size to cap the search"
         )
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
+    # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
+    top = max_size
+    while top >= 0 and config.min_samples_per_cell and (
+        dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**top
+    ):
+        top -= 1
 
-    _, envs = np.unique(dataset.envs, return_inverse=True)
-    k = int(envs.max()) + 1
     rows, row_ids = _distinct_rows(dataset.features)
     table = kernels.stratified_label_env_counts(
         row_ids, len(rows), dataset.labels, envs, k
     )
     table = table.reshape(len(rows), 2 * k).astype(np.float64)
+    by_column = np.ascontiguousarray(rows.T)
+
+    outcomes = {}
+    held = None
+    for size in range(top, -1, -1):
+        subsets = list(combinations(range(d), size))
+        if 2**size > len(rows):
+            held = None
+            outcomes[size] = [
+                _outcome(stratified_gtest(_subset_counts(table, rows, subset, k)))
+                for subset in subsets
+            ]
+            continue
+        columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+        if len(subsets) * 2**size * 2 * k <= _LEVEL_CELLS:
+            if held is None:
+                held = _row_level_counts(table, by_column, columns)
+            else:
+                held = _marginal_level_counts(held, columns, d)
+            blocks = [held]
+        else:
+            held = None
+            step = max(1, _BLOCK_CELLS // len(rows))
+            blocks = (
+                _row_level_counts(table, by_column, columns[start : start + step])
+                for start in range(0, len(subsets), step)
+            )
+        outcomes[size] = [o for counts in blocks for o in _score_level(counts, k)]
 
     tests = []
     selected = None
     for size in range(max_size + 1):
-        # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
-        guarded = bool(config.min_samples_per_cell) and (
-            dataset.n_samples < config.min_samples_per_cell * 2 * k * 2 ** size
-        )
-        for subset in combinations(range(d), size):
-            if guarded:
-                p_value, degenerate = 1.0, True
-            else:
-                result = stratified_gtest(_subset_counts(table, rows, subset, k))
-                p_value, degenerate = float(result.p_value), result.degenerate
+        for subset, (p_value, degenerate) in zip(
+            combinations(range(d), size), outcomes.get(size, repeat((1.0, True)))
+        ):
             accepted = p_value > config.alpha
             tests.append(
                 SubsetTest(
@@ -149,3 +201,91 @@ def _subset_counts(table, rows, subset, k):
     counts = counts.reshape(n_strata, width)
     return counts[counts.any(axis=1)].reshape(-1, 2, k)
 
+
+def _row_level_counts(table, by_column, columns):
+    """(n_subsets, 2**s, width) counts of every stratum of each subset in
+    ``columns`` (one sorted subset of size s per row), summed from the
+    per-row ``table``; ``by_column`` holds the distinct rows transposed.
+    Stratum ids are built one column at a time, packed as ``joint_strata``
+    packs them."""
+    n_rows, width = table.shape
+    n_subsets, size = columns.shape
+    n_strata = 2**size
+    counts = np.empty((n_subsets, n_strata, width))
+    step = max(1, _BLOCK_CELLS // n_rows)
+    for start in range(0, n_subsets, step):
+        block = columns[start : start + step]
+        strata = np.zeros((len(block), n_rows), dtype=np.int64)
+        for bit in range(size):
+            strata |= by_column[block[:, bit]].astype(np.int64) << bit
+        strata += (np.arange(len(block)) * n_strata)[:, None]
+        strata = strata.ravel()
+        for w in range(width):
+            weights = np.broadcast_to(table[:, w], (len(block), n_rows)).ravel()
+            counts[start : start + len(block), :, w] = np.bincount(
+                strata, weights=weights, minlength=len(block) * n_strata
+            ).reshape(len(block), n_strata)
+    return counts
+
+
+def _marginal_level_counts(parents, columns, d):
+    """Counts of the size-s subsets in ``columns`` from ``parents``, the held
+    counts of every size-(s + 1) subset in ``combinations`` order. A subset's
+    parent adds its smallest missing column c, which sits at bit c of the
+    parent's stratum id; the subset's table sums the parent's two strata that
+    differ only in that bit."""
+    n_subsets, size = columns.shape
+    missing = (columns == np.arange(size)).sum(axis=1)
+    parent = np.sort(np.column_stack([columns, missing]), axis=1)
+    bit = 1 << missing[:, None]
+    strata = np.arange(2**size)[None, :]
+    low = strata & (bit - 1)
+    strata = low | ((strata ^ low) << 1)
+    strata += (_combination_ranks(parent, d) * 2 ** (size + 1))[:, None]
+    flat = parents.reshape(-1, parents.shape[2])
+    counts = flat[strata]
+    counts += flat[strata | bit]
+    return counts
+
+
+def _combination_ranks(combos, d):
+    """Position of each sorted row of ``combos`` in
+    ``combinations(range(d), r)`` order. Summed per position: the count of
+    combinations that first fall below it there. Only called on held levels,
+    whose binomials fit int64."""
+    r = combos.shape[1]
+    binom = np.array(
+        [[math.comb(n, q) for q in range(r + 1)] for n in range(d + 1)],
+        dtype=np.int64,
+    )
+    previous = np.column_stack([np.full(len(combos), -1), combos[:, :-1]])
+    left = r - np.arange(r)
+    return (binom[d - 1 - previous, left] - binom[d - combos, left]).sum(axis=1)
+
+
+def _score_level(counts, k):
+    """(p-value, degenerate) per subset of an (n_subsets, n_strata, 2k) count
+    array. One ``table_stats`` per block scores the occupied strata of every
+    subset in it; each subset's statistic is then the sum of its own
+    contiguous slice, in ascending stratum order as ``stratified_gtest`` sums
+    it."""
+    outcomes = []
+    step = max(1, _BLOCK_CELLS // counts[0].size)
+    for start in range(0, len(counts), step):
+        block = counts[start : start + step]
+        occupied = block.any(axis=2)
+        stat, dof = table_stats(block[occupied].reshape(-1, 2, k), "gtest")
+        n_occupied = occupied.sum(axis=1)
+        ends = np.cumsum(n_occupied)
+        starts = ends - n_occupied
+        dof_before = np.concatenate([[0], np.cumsum(dof)])
+        dofs = dof_before[ends] - dof_before[starts]
+        outcomes += [
+            _outcome(_result_from(stat[a:b].sum(), n_dof))
+            for a, b, n_dof in zip(starts.tolist(), ends.tolist(), dofs.tolist())
+        ]
+    return outcomes
+
+
+def _outcome(result):
+    return float(result.p_value), result.degenerate

@@ -319,6 +319,17 @@ def test_repeated_xb_size_is_config_error(command, sizes, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "benchmark"])
+def test_repeated_method_is_config_error(command, tmp_path, capsys):
+    code = main(
+        [command, "--methods", "scm,scm", "--xb", "1", "--samples", "100",
+         "-o", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "must not repeat a method" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_rerun_byte_identical(tmp_path):
     args = ["experiment", "--methods", "scm", "--xb", "1", "--runs", "2",
             "--seed", "3", "--samples", "400", "--no-timing"]

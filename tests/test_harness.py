@@ -50,6 +50,13 @@ def test_repeated_xb_size_is_refused(sizes):
         ExperimentGrid(xb_sizes=sizes, n_runs=2)
 
 
+@pytest.mark.parametrize("methods", [("scm", "scm"), ("scm", "icp", "scm")])
+def test_repeated_method_is_refused(methods):
+    # a repeated method would fit the same seeds twice and double n_runs
+    with pytest.raises(ConfigError, match="must not repeat a method"):
+        ExperimentGrid(methods=methods, n_runs=2)
+
+
 def test_precision_recall_conventions():
     assert precision_recall(set(), {0, 1}) == (1.0, 0.0)
     assert precision_recall({0, 1}, {0, 1}) == (1.0, 1.0)

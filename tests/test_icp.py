@@ -1,8 +1,11 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from rulecover import icp
 from rulecover.data import Dataset
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import derive_run_seed
@@ -201,3 +204,67 @@ def test_cached_counts_match_per_subset_reference(case, min_cell):
     dataset, max_size = REFERENCE_CASES[case]()
     config = IcpConfig(max_subset_size=max_size, min_samples_per_cell=min_cell)
     assert icp_report(dataset, config) == _reference_report(dataset, config)
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 400),
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=4, unique=True),
+    st.sampled_from([0, 1, 10]),
+    st.one_of(st.none(), st.integers(0, 7)),
+    st.sampled_from([(icp._LEVEL_CELLS, icp._BLOCK_CELLS), (64, 1), (0, 16)]),
+    st.one_of(st.none(), st.integers(1, 8)),
+    st.integers(0, 2**32 - 1),
+)
+def test_level_scan_matches_per_subset_reference(
+    d, m, env_ids, min_cell, max_size, budgets, n_patterns, seed
+):
+    # n_patterns draws every row from a few distinct rows, so sizes with more
+    # possible strata than rows are scored subset by subset; the budgets
+    # (level, block) force the row path and one-subset blocks
+    rng = np.random.default_rng(seed)
+    if n_patterns is None:
+        features = rng.integers(0, 2, (m, d), dtype=np.uint8)
+    else:
+        patterns = rng.integers(0, 2, (n_patterns, d), dtype=np.uint8)
+        features = patterns[rng.integers(0, n_patterns, m)]
+    dataset = Dataset(
+        features=features,
+        labels=rng.integers(0, 2, m, dtype=np.uint8),
+        envs=rng.choice(np.array(env_ids), m),
+    )
+    config = IcpConfig(max_subset_size=max_size, min_samples_per_cell=min_cell)
+    level_cells, block_cells = budgets
+    with mock.patch.multiple(
+        icp, _LEVEL_CELLS=level_cells, _BLOCK_CELLS=block_cells
+    ):
+        if dataset.n_distinct_envs < 2:
+            with pytest.raises(ConfigError):
+                icp_report(dataset, config)
+        else:
+            assert icp_report(dataset, config) == _reference_report(dataset, config)
+
+
+def test_dense_levels_count_the_data_once(monkeypatch):
+    # 4000 samples fill all 256 rows of d = 8, so every size is held densely:
+    # one joint_strata call numbers the rows, and no subset is counted alone
+    dataset = _independent_dataset(seed=4, m=4000, d=8)
+    calls = {"joint_strata": 0, "_subset_counts": 0}
+
+    def counted(name):
+        original = getattr(icp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(icp, name, counted(name))
+    config = IcpConfig(min_samples_per_cell=0)
+    report = icp_report(dataset, config)
+    assert calls == {"joint_strata": 1, "_subset_counts": 0}
+    assert len(report.tests) == 256
+    monkeypatch.undo()
+    assert report == _reference_report(dataset, config)
