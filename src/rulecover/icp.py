@@ -17,14 +17,14 @@ With R distinct rows and k environments:
   above when there is one (a subset's table is a marginal of its parent's,
   the subset plus its smallest missing column): O(2**s) per subset.
   Otherwise it is counted from the distinct rows: O(R) per subset.
-- If 2**s <= R but the level does not fit, it is counted from the distinct
-  rows and scored block by block: O(R) per subset.
-- If 2**s > R, each subset is counted on its own over the distinct rows,
-  numbering only its occupied strata: O(R) time and memory per subset.
+- Otherwise (2**s > R, or the level does not fit) each subset is counted on
+  its own over the distinct rows, numbering only its occupied strata: O(R)
+  time and memory per subset.
 
-Memory is O(R) per subset in the last case. Otherwise it is at most three
-level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the level
-summed from it and one temporary) plus blocks of ``_BLOCK_CELLS`` elements.
+Memory is O(R) per subset in the second case. In the first it is at most
+three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
+level summed from it and one temporary) plus blocks of ``_BLOCK_CELLS``
+elements.
 Counts are exact integers, and every subset's statistic is summed over its
 own tables in ascending stratum order, so p-values do not depend on how the
 subsets were grouped.
@@ -124,7 +124,7 @@ def icp_report(dataset, config):
     held = None
     for size in range(top, -1, -1):
         subsets = list(combinations(range(d), size))
-        if 2**size > len(rows):
+        if 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
             held = None
             outcomes[size] = [
                 _outcome(stratified_gtest(_subset_counts(table, rows, subset, k)))
@@ -132,20 +132,11 @@ def icp_report(dataset, config):
             ]
             continue
         columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
-        if len(subsets) * 2**size * 2 * k <= _LEVEL_CELLS:
-            if held is None:
-                held = _row_level_counts(table, by_column, columns)
-            else:
-                held = _marginal_level_counts(held, columns, d)
-            blocks = [held]
+        if held is None:
+            held = _row_level_counts(table, by_column, columns)
         else:
-            held = None
-            step = max(1, _BLOCK_CELLS // len(rows))
-            blocks = (
-                _row_level_counts(table, by_column, columns[start : start + step])
-                for start in range(0, len(subsets), step)
-            )
-        outcomes[size] = [o for counts in blocks for o in _score_level(counts, k)]
+            held = _marginal_level_counts(held, columns, d)
+        outcomes[size] = _score_level(held, k)
 
     tests = []
     selected = None

@@ -221,7 +221,8 @@ def test_level_scan_matches_per_subset_reference(
 ):
     # n_patterns draws every row from a few distinct rows, so sizes with more
     # possible strata than rows are scored subset by subset; the budgets
-    # (level, block) force the row path and one-subset blocks
+    # (level, block) force the row path and one-subset blocks at (64, 1), and
+    # the per-subset path at every size at (0, 16)
     rng = np.random.default_rng(seed)
     if n_patterns is None:
         features = rng.integers(0, 2, (m, d), dtype=np.uint8)
