@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels as kernels
 from . import icp
 from .data import write_json
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 from .icp import IcpConfig
 from .icscm import IcscmConfig, icscm_fit
 from .scm import ScmConfig, scm_fit
@@ -115,18 +115,10 @@ def precision_recall(selected, parents):
 
 
 def check_icp_feasible(grid):
-    if not any(m == "icp" for m in grid.methods):
-        return
-    cfg = grid.icp_config
-    if cfg.max_subset_size is not None:
-        return
-    worst = max(grid.xb_sizes) + 3
-    if worst > cfg.feasibility_limit:
-        raise InfeasibleError(
-            f"icp over {worst} features needs 2**{worst} subset tests "
-            f"(limit 2**{cfg.feasibility_limit}); cap max_subset_size or "
-            "shrink the grid"
-        )
+    """Refuse an icp grid whose widest cell (xb + 3 features) needs more
+    subset tests than ``icp.check_feasible`` allows."""
+    if any(m == "icp" for m in grid.methods):
+        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
 
 
 def _fit_selected(method, dataset, grid):

@@ -3,28 +3,30 @@
 Every feature subset S is scored with a conditional G-test of the label
 against the environment given the joint value of S; the result is the
 intersection of all subsets whose test does not reject independence. Costs
-2**d tests, which is why it only runs at desk scale.
+2**d tests, which is why it only runs at desk scale; ``check_feasible``
+refuses a run of more than 2**feasibility_limit tests, capped or not.
 
 The data is read once: each sample is reduced to the id of its distinct
 feature row, and one count gives a (label, environment) table per distinct
-row (cached sufficient statistics, Moore & Lee, JAIR 1998). Subsets are then
-scored one size s at a time, from the largest tested size down to 0, with a
-fixed handful of numpy calls per block of subsets rather than per subset.
-With R distinct rows and k environments:
+row (cached sufficient statistics, Moore & Lee, JAIR 1998). Every subset's
+table is summed from these, one size s at a time from the largest tested
+size down to 0. With R distinct rows and k environments:
 
 - If 2**s <= R and the level's C(d, s) * 2**s tables of 2k cells fit in
   ``_LEVEL_CELLS``, the level is held whole. It is summed from the held level
   above when there is one (a subset's table is a marginal of its parent's,
-  the subset plus its smallest missing column): O(2**s) per subset.
-  Otherwise it is counted from the distinct rows: O(R) per subset.
-- Otherwise (2**s > R, or the level does not fit) each subset is counted on
-  its own over the distinct rows, numbering only its occupied strata: O(R)
-  time and memory per subset.
+  the subset plus its smallest missing column): O(2**s) per subset. The
+  first held level of a scan is counted subset by subset over the distinct
+  rows: O(R) per subset. A held level is scored a block of subsets at a
+  time, with a fixed handful of numpy calls per block.
+- Otherwise (2**s > R, or the level does not fit) each subset is counted and
+  scored on its own over the distinct rows, numbering only its occupied
+  strata when 2**s > R: O(R) time and memory per subset.
 
 Memory is O(R) per subset in the second case. In the first it is at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
-level summed from it and one temporary) plus blocks of ``_BLOCK_CELLS``
-elements.
+level summed from it and one temporary) plus scoring blocks of
+``_BLOCK_CELLS`` cells.
 Counts are exact integers, and every subset's statistic is summed over its
 own tables in ascending stratum order, so p-values do not depend on how the
 subsets were grouped.
@@ -39,15 +41,21 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import ConfigError, InfeasibleError
-from .stats import _result_from, joint_strata, stratified_gtest, table_stats
+from .stats import (
+    _require_environments,
+    _result_from,
+    joint_strata,
+    stratified_gtest,
+    table_stats,
+)
 
 # Not called here (icp_report sums the same tables from a cache); the traced
 # benchmark (perfbench/layers.py) rebinds this module's conditional_gtest.
 from .stats import conditional_gtest  # noqa: F401
 
 
-# Table cells (float64) of the largest level held whole, and array elements
-# per block of one counting or scoring pass: bound the memory a level takes.
+# Table cells (float64) of the largest level held whole, and table cells per
+# block of subsets scored together: bound the memory a level takes.
 _LEVEL_CELLS = 2**20
 _BLOCK_CELLS = 2**14
 
@@ -59,8 +67,8 @@ class IcpConfig:
     points only; identification experiments never cap. min_samples_per_cell:
     declare a subset's test degenerate (p = 1, accepted) unless the data
     provides this many samples per cell of the full (label, env, S) table;
-    0 disables the guard. feasibility_limit: refuse uncapped runs beyond
-    this many features."""
+    0 disables the guard. feasibility_limit: refuse runs of more than
+    2**feasibility_limit subset tests, capped or not."""
 
     alpha: float = 0.05
     max_subset_size: Optional[int] = None
@@ -90,22 +98,30 @@ class IcpReport:
     tests: tuple
 
 
+def check_feasible(n_features, config):
+    """Refuse with InfeasibleError a scan of more than
+    2**feasibility_limit subset tests: sum C(d, s) for s up to
+    max_subset_size, which is 2**d uncapped."""
+    max_size = config.max_subset_size
+    if max_size is None or max_size >= n_features:
+        n_tests = 2**n_features
+    else:
+        n_tests = sum(math.comb(n_features, s) for s in range(max_size + 1))
+    if n_tests > 2**config.feasibility_limit:
+        raise InfeasibleError(
+            f"icp over {n_features} features needs {n_tests} subset tests "
+            f"(limit 2**{config.feasibility_limit}); set or lower max_subset_size"
+        )
+
+
 def icp_report(dataset, config):
     """Run the full subset scan and keep the per-subset log."""
+    _require_environments(dataset.envs)
+    d = dataset.n_features
+    check_feasible(d, config)
+    max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
     env_ids, envs = np.unique(dataset.envs, return_inverse=True)
     k = len(env_ids)
-    if k < 2:
-        raise ConfigError(
-            "invariance is untestable on single-environment data "
-            f"(got {k} distinct environment id)"
-        )
-    d = dataset.n_features
-    if config.max_subset_size is None and d > config.feasibility_limit:
-        raise InfeasibleError(
-            f"2**{d} subset tests refused (limit 2**{config.feasibility_limit}); "
-            "set max_subset_size to cap the search"
-        )
-    max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
     # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
     top = max_size
     while top >= 0 and config.min_samples_per_cell and (
@@ -118,7 +134,6 @@ def icp_report(dataset, config):
         row_ids, len(rows), dataset.labels, envs, k
     )
     table = table.reshape(len(rows), 2 * k).astype(np.float64)
-    by_column = np.ascontiguousarray(rows.T)
 
     outcomes = {}
     held = None
@@ -126,15 +141,18 @@ def icp_report(dataset, config):
         subsets = list(combinations(range(d), size))
         if 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
             held = None
-            outcomes[size] = [
-                _outcome(stratified_gtest(_subset_counts(table, rows, subset, k)))
-                for subset in subsets
-            ]
+            outcomes[size] = []
+            for subset in subsets:
+                counts = _subset_counts(table, rows, subset)
+                counts = counts[counts.any(axis=1)].reshape(-1, 2, k)
+                outcomes[size].append(_outcome(stratified_gtest(counts)))
             continue
-        columns = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
         if held is None:
-            held = _row_level_counts(table, by_column, columns)
+            held = np.empty((len(subsets), 2**size, 2 * k))
+            for i, subset in enumerate(subsets):
+                held[i] = _subset_counts(table, rows, subset)
         else:
+            columns = np.array(subsets, dtype=np.intp)
             held = _marginal_level_counts(held, columns, d)
         outcomes[size] = _score_level(held, k)
 
@@ -175,48 +193,21 @@ def _distinct_rows(features):
     return features[first], row_ids
 
 
-def _subset_counts(table, rows, subset, k):
-    """(n_strata, 2, k) counts of the non-empty strata of ``subset``, in
-    ascending stratum id as ``joint_strata`` packs it, summed from the
-    per-row ``table``."""
+def _subset_counts(table, rows, subset):
+    """(n_strata, width) counts of the strata of ``subset`` in ascending
+    stratum id as ``joint_strata`` packs it, summed from the per-row
+    ``table``: all 2**|S| strata when they are at most the distinct rows,
+    else only the occupied ones."""
     strata = joint_strata(rows, subset)
     width = table.shape[1]
     if 2 ** len(subset) <= len(rows):
         n_strata = 2 ** len(subset)
     else:
-        # more possible strata than rows: number only the occupied ones
         occupied, strata = np.unique(strata, return_inverse=True)
         n_strata = len(occupied)
     cells = (strata[:, None] * width + np.arange(width)).ravel()
     counts = np.bincount(cells, weights=table.ravel(), minlength=n_strata * width)
-    counts = counts.reshape(n_strata, width)
-    return counts[counts.any(axis=1)].reshape(-1, 2, k)
-
-
-def _row_level_counts(table, by_column, columns):
-    """(n_subsets, 2**s, width) counts of every stratum of each subset in
-    ``columns`` (one sorted subset of size s per row), summed from the
-    per-row ``table``; ``by_column`` holds the distinct rows transposed.
-    Stratum ids are built one column at a time, packed as ``joint_strata``
-    packs them."""
-    n_rows, width = table.shape
-    n_subsets, size = columns.shape
-    n_strata = 2**size
-    counts = np.empty((n_subsets, n_strata, width))
-    step = max(1, _BLOCK_CELLS // n_rows)
-    for start in range(0, n_subsets, step):
-        block = columns[start : start + step]
-        strata = np.zeros((len(block), n_rows), dtype=np.int64)
-        for bit in range(size):
-            strata |= by_column[block[:, bit]].astype(np.int64) << bit
-        strata += (np.arange(len(block)) * n_strata)[:, None]
-        strata = strata.ravel()
-        for w in range(width):
-            weights = np.broadcast_to(table[:, w], (len(block), n_rows)).ravel()
-            counts[start : start + len(block), :, w] = np.bincount(
-                strata, weights=weights, minlength=len(block) * n_strata
-            ).reshape(len(block), n_strata)
-    return counts
+    return counts.reshape(n_strata, width)
 
 
 def _marginal_level_counts(parents, columns, d):

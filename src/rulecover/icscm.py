@@ -12,6 +12,7 @@ from .data import Conjunction
 from .errors import ConfigError, DataError
 from .scm import ScmConfig, _greedy_fit
 from .stats import (
+    _require_environments,
     chi2_sf,
     conditional_gtest,
     independence_test,
@@ -67,11 +68,7 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     reached. Pruning is applied afterwards when configured. Disjunctions are
     fitted through De Morgan, as in ``scm_fit``.
     """
-    if dataset.n_distinct_envs < 2:
-        raise ConfigError(
-            "invariance is untestable on single-environment data "
-            f"(got {dataset.n_distinct_envs} distinct environment id)"
-        )
+    _require_environments(dataset.envs)
     report = _greedy_fit(
         dataset,
         rules,
@@ -127,6 +124,7 @@ def prune(model, dataset, alpha):
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    _require_environments(dataset.envs)
     for rule in model.rules:
         if rule.feature_index >= dataset.n_features:
             raise DataError(

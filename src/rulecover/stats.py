@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -181,6 +181,16 @@ def independence_test(y, e, method="chi2"):
     """
     stat, dof = table_stats(_label_env_counts(y, e), method)
     return _result_from(stat[0], dof[0])
+
+
+def _require_environments(envs):
+    """Refuse data with one environment id, on which no invariance test can
+    reject: every label/environment table has one column."""
+    if envs.min() == envs.max():
+        raise ConfigError(
+            "invariance is untestable on single-environment data "
+            "(got 1 distinct environment id)"
+        )
 
 
 def conditional_gtest(y, e, strata):

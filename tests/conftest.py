@@ -226,3 +226,9 @@ def table_to_vectors(table):
             ys.extend([y_value] * count)
             es.extend([e_value] * count)
     return np.array(ys, dtype=np.int64), np.array(es, dtype=np.int64)
+
+
+def no_enumeration(*args):
+    """Stands in for ``icp.combinations`` in feasibility tests, so that a run
+    the check should refuse fails at once instead of enumerating subsets."""
+    raise AssertionError("subsets enumerated before the feasibility check")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rulecover import icp
 from rulecover.cli import main, parse_parent_probs, parse_xb_sizes
 from rulecover.data import (
     Conjunction,
@@ -13,6 +14,8 @@ from rulecover.data import (
 )
 from rulecover.errors import ConfigError
 from rulecover.icp import IcpConfig, icp_report
+
+from conftest import no_enumeration
 
 
 def test_parse_xb_sizes():
@@ -222,6 +225,20 @@ def test_prune_subcommand(sim_dir, tmp_path, capsys):
     assert set(pruned.rules) <= set(model.rules)
 
 
+def test_prune_single_env_is_config_error(tmp_path, capsys):
+    data = tmp_path / "one"
+    assert main(
+        ["simulate", "--n-env", "1", "--samples", "200", "--force", "-o", str(data)]
+    ) == 0
+    model_path = tmp_path / "model.json"
+    save_model_json(Conjunction(rules=(Rule(0, 1), Rule(1, 1))), model_path)
+    code = main(
+        ["prune", "--data", str(data / "dataset.csv"), "--model", str(model_path)]
+    )
+    assert code == 2
+    assert "single-environment" in capsys.readouterr().err
+
+
 def test_prune_refuses_bad_model_and_alpha(sim_dir, tmp_path, capsys):
     data = str(sim_dir / "dataset.csv")
     model_path = tmp_path / "far.json"
@@ -273,12 +290,19 @@ def test_icp_subcommand(sim_dir, tmp_path, capsys):
     assert empty["degenerate"] is expected.tests[0].degenerate
 
 
-def test_icp_infeasible_exit_code(tmp_path):
+def test_icp_infeasible_exit_code(tmp_path, monkeypatch, capsys):
     assert main(
         ["simulate", "--xb", "30", "--samples", "60", "-o", str(tmp_path / "wide")]
     ) == 0
-    code = main(["icp", "--data", str(tmp_path / "wide" / "dataset.csv")])
+    data = str(tmp_path / "wide" / "dataset.csv")
+    code = main(["icp", "--data", data])
     assert code == 4
+    # a cap counts the tests it keeps: sum C(33, s) for s <= 15 > 2**20, so
+    # the run is refused before any subset is enumerated
+    monkeypatch.setattr(icp, "combinations", no_enumeration)
+    code = main(["icp", "--data", data, "--max-subset-size", "15", "--min-cell", "0"])
+    assert code == 4
+    assert "subset tests" in capsys.readouterr().err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

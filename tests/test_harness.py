@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from rulecover import harness
+from rulecover import harness, icp
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import (
     ExperimentGrid,
@@ -15,6 +15,8 @@ from rulecover.harness import (
 )
 from rulecover.icp import IcpConfig
 from rulecover.simulator import SimConfig
+
+from conftest import no_enumeration
 
 
 def _small_grid(**overrides):
@@ -164,10 +166,21 @@ def test_summarize_rates():
     assert row["identification_rate"] == pytest.approx(expected)
 
 
-def test_icp_infeasible_grid_refused(tmp_path):
+def test_icp_infeasible_grid_refused(tmp_path, monkeypatch):
     grid = _small_grid(methods=("icp",), xb_sizes=(30,))
     with pytest.raises(InfeasibleError):
         run_identification(grid, out_dir=tmp_path)
+    # a capped grid is refused on its count of tests, before any cell runs
+    wide_capped = _small_grid(
+        methods=("icp",),
+        xb_sizes=(27,),
+        n_runs=1,
+        icp_config=IcpConfig(max_subset_size=15),
+    )
+    monkeypatch.setattr(icp, "combinations", no_enumeration)
+    with pytest.raises(InfeasibleError):
+        run_identification(wide_capped, out_dir=tmp_path)
+    monkeypatch.undo()
     capped = _small_grid(
         methods=("icp",),
         xb_sizes=(30,),

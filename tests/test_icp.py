@@ -13,6 +13,8 @@ from rulecover.icp import IcpConfig, IcpReport, SubsetTest, icp_report
 from rulecover.simulator import SimConfig, simulate
 from rulecover.stats import conditional_gtest, joint_strata
 
+from conftest import no_enumeration
+
 
 def _independent_dataset(seed=0, m=400, d=3):
     rng = np.random.default_rng(seed)
@@ -101,6 +103,12 @@ def test_feasibility_refusal():
     ds = _independent_dataset(seed=3, d=25)
     with pytest.raises(InfeasibleError):
         icp_report(ds, IcpConfig(feasibility_limit=20))
+    # a cap counts the tests it keeps: sum C(30, s) for s <= 15 > 2**20
+    wide = _independent_dataset(seed=3, m=60, d=30)
+    capped = IcpConfig(max_subset_size=15, min_samples_per_cell=0)
+    with mock.patch.object(icp, "combinations", no_enumeration):
+        with pytest.raises(InfeasibleError, match="614429672 subset tests"):
+            icp_report(wide, capped)
     # capping restores feasibility
     report = icp_report(
         ds, IcpConfig(max_subset_size=1, feasibility_limit=20, min_samples_per_cell=0)
@@ -221,8 +229,9 @@ def test_level_scan_matches_per_subset_reference(
 ):
     # n_patterns draws every row from a few distinct rows, so sizes with more
     # possible strata than rows are scored subset by subset; the budgets
-    # (level, block) force the row path and one-subset blocks at (64, 1), and
-    # the per-subset path at every size at (0, 16)
+    # (level, block) hold only small levels, seeding the held chain low in
+    # the scan, and score one subset per block at (64, 1), and force the
+    # per-subset path at every size at (0, 16)
     rng = np.random.default_rng(seed)
     if n_patterns is None:
         features = rng.integers(0, 2, (m, d), dtype=np.uint8)
@@ -246,11 +255,8 @@ def test_level_scan_matches_per_subset_reference(
             assert icp_report(dataset, config) == _reference_report(dataset, config)
 
 
-def test_dense_levels_count_the_data_once(monkeypatch):
-    # 4000 samples fill all 256 rows of d = 8, so every size is held densely:
-    # one joint_strata call numbers the rows, and no subset is counted alone
-    dataset = _independent_dataset(seed=4, m=4000, d=8)
-    calls = {"joint_strata": 0, "_subset_counts": 0}
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(icp, name)
@@ -261,11 +267,32 @@ def test_dense_levels_count_the_data_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(icp, name, counted(name))
+    return calls
+
+
+def test_dense_levels_count_the_data_once(monkeypatch):
+    # 4000 samples fill all 256 rows of d = 8, so every size is held densely:
+    # one joint_strata call numbers the rows, the one subset of size 8 seeds
+    # the held chain, and every smaller size is summed from the size above
+    dataset = _independent_dataset(seed=4, m=4000, d=8)
+    calls = _count_calls(monkeypatch, ("joint_strata", "_subset_counts"))
     config = IcpConfig(min_samples_per_cell=0)
     report = icp_report(dataset, config)
-    assert calls == {"joint_strata": 1, "_subset_counts": 0}
+    assert calls == {"joint_strata": 2, "_subset_counts": 1}
     assert len(report.tests) == 256
+    monkeypatch.undo()
+    assert report == _reference_report(dataset, config)
+
+
+def test_guarded_top_size_seeds_the_held_chain(monkeypatch):
+    # 4000 < 10 * 2 * 2 * 2**7 samples: the guard makes size 6 the largest
+    # tested, so its C(8, 6) = 28 subsets seed the chain, one count each
+    dataset = _independent_dataset(seed=4, m=4000, d=8)
+    calls = _count_calls(monkeypatch, ("joint_strata", "_subset_counts"))
+    config = IcpConfig(min_samples_per_cell=10)
+    report = icp_report(dataset, config)
+    assert calls == {"joint_strata": 29, "_subset_counts": 28}
     monkeypatch.undo()
     assert report == _reference_report(dataset, config)

@@ -274,6 +274,15 @@ class TestPrune:
         with pytest.raises(DataError, match="feature 50"):
             prune(model, ds, alpha=0.05)
 
+    def test_single_environment_is_refused(self):
+        ds, _ = _sim(xb=1, seed=7, m=500)
+        one_env = Dataset(
+            features=ds.features, labels=ds.labels, envs=np.full(ds.n_samples, 3)
+        )
+        model = Conjunction(rules=(Rule(0, 1), Rule(1, 1)))
+        with pytest.raises(ConfigError, match="single-environment"):
+            prune(model, one_env, alpha=0.05)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.5])
     def test_alpha_outside_unit_interval_is_refused(self, alpha):
         ds, _ = _sim(xb=1, seed=7, m=500)
