@@ -199,10 +199,6 @@ class Dataset:
     def n_features(self):
         return self.features.shape[1]
 
-    @property
-    def n_distinct_envs(self):
-        return int(np.unique(self.envs).size)
-
 
 def _rule_arrays(rules, n_features):
     """The rules' feature indices (intp) and expected values (uint8), refusing

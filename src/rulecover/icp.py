@@ -152,8 +152,8 @@ def icp_report(dataset, config):
             for i, subset in enumerate(subsets):
                 held[i] = _subset_counts(table, rows, subset)
         else:
-            columns = np.array(subsets, dtype=np.intp)
-            held = _marginal_level_counts(held, columns, d)
+            held = _marginal_level_counts(held, held_subsets, subsets)
+        held_subsets = subsets
         outcomes[size] = _score_level(held, k)
 
     tests = []
@@ -210,39 +210,30 @@ def _subset_counts(table, rows, subset):
     return counts.reshape(n_strata, width)
 
 
-def _marginal_level_counts(parents, columns, d):
-    """Counts of the size-s subsets in ``columns`` from ``parents``, the held
-    counts of every size-(s + 1) subset in ``combinations`` order. A subset's
-    parent adds its smallest missing column c, which sits at bit c of the
-    parent's stratum id; the subset's table sums the parent's two strata that
-    differ only in that bit."""
-    n_subsets, size = columns.shape
+def _marginal_level_counts(parents, parent_subsets, subsets):
+    """Counts of the size-s ``subsets`` from ``parents``, the held counts of
+    ``parent_subsets``, every size-(s + 1) subset in ``combinations`` order.
+    A subset's parent adds its smallest missing column c and is found by its
+    position in ``parent_subsets``; c sits at bit c of the parent's stratum
+    id, and the subset's table sums the parent's two strata that differ only
+    in that bit."""
+    position = {subset: i for i, subset in enumerate(parent_subsets)}
+    columns = np.array(subsets, dtype=np.intp)
+    size = columns.shape[1]
     missing = (columns == np.arange(size)).sum(axis=1)
-    parent = np.sort(np.column_stack([columns, missing]), axis=1)
+    parent = [
+        position[subset[:c] + (c,) + subset[c:]]
+        for subset, c in zip(subsets, missing.tolist())
+    ]
     bit = 1 << missing[:, None]
     strata = np.arange(2**size)[None, :]
     low = strata & (bit - 1)
     strata = low | ((strata ^ low) << 1)
-    strata += (_combination_ranks(parent, d) * 2 ** (size + 1))[:, None]
+    strata += (np.array(parent, dtype=np.intp) * 2 ** (size + 1))[:, None]
     flat = parents.reshape(-1, parents.shape[2])
     counts = flat[strata]
     counts += flat[strata | bit]
     return counts
-
-
-def _combination_ranks(combos, d):
-    """Position of each sorted row of ``combos`` in
-    ``combinations(range(d), r)`` order. Summed per position: the count of
-    combinations that first fall below it there. Only called on held levels,
-    whose binomials fit int64."""
-    r = combos.shape[1]
-    binom = np.array(
-        [[math.comb(n, q) for q in range(r + 1)] for n in range(d + 1)],
-        dtype=np.int64,
-    )
-    previous = np.column_stack([np.full(len(combos), -1), combos[:, :-1]])
-    left = r - np.arange(r)
-    return (binom[d - 1 - previous, left] - binom[d - combos, left]).sum(axis=1)
 
 
 def _score_level(counts, k):

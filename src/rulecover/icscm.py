@@ -106,7 +106,7 @@ def _first_invariant_leaf(config, counts, order):
 
 
 def _invariance_reached(config, labels, envs):
-    """Stopping test on the samples still active: (p-value, p > alpha)."""
+    """Stopping test on the samples not yet covered: (p-value, p > alpha)."""
     if labels.size == 0:
         return 1.0, True
     gamma = independence_test(labels, envs, method=config.test_method).p_value

@@ -6,9 +6,9 @@ Each iteration scores every candidate rule by utility
 (ties broken by lowest candidate index) and discards the samples the new rule
 settles. Training stops when no negatives remain, the length cap is hit, or
 the candidate pool is exhausted. Every candidate is a stump on a 0/1 column,
-so one pass of per-(label, env) column sums over the active samples gives
-every candidate's leaf table: an iteration costs O(m * d) counting plus
-O(|rules|) gathering, and only the appended rule is applied to the data.
+so one pass of per-(label, env) column sums over the samples not yet covered
+gives every candidate's leaf table: an iteration costs O(m * d) counting plus
+O(|rules|) gathering, and the appended rule is applied to those samples only.
 
 The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
 learner, which adds a leaf filter and a stopping test to it.
@@ -51,9 +51,9 @@ class ScmConfig:
 def scm_fit(dataset, config, rules=None, model_type="conjunction"):
     """Fit a conjunction (or disjunction) greedily.
 
-    ``rules`` defaults to the dataset's candidate stumps. Disjunctions are
-    learned by fitting a conjunction on negated labels with negated rules and
-    wrapping the result (De Morgan).
+    ``rules`` defaults to the dataset's candidate stumps. A disjunction is
+    fitted as the conjunction of the negated rules on negated labels (De
+    Morgan) and reported with the caller's rules.
     """
     return _greedy_fit(dataset, rules, model_type, config.p, config.max_rules)
 
@@ -63,18 +63,22 @@ def _greedy_fit(
 ):
     """The greedy engine shared by scm and icscm.
 
-    Each iteration orders the available candidates by (-utility, index).
-    Without a filter the first is appended: the argmax, lowest index on
-    ties. ``leaf_filter(counts, order)`` instead returns the first candidate
-    it accepts as (rule index, leaf p-value), or None to stop with
-    ``no_valid_rule``; ``counts`` holds every rule's (label, env) leaf table
-    over the active samples, counted from the feature columns. After each
-    append, ``stop_test(labels, envs)`` on the samples still active returns
-    (p-value, stop), and stop ends the fit with ``invariance_reached``. Env
-    ids are densified once, so the cost does not depend on their values. A
-    disjunction is the conjunction fit on negated labels with negated rules,
-    read back through De Morgan. Default candidates on data where no column
-    varies raise DataError; an explicit empty rule list raises ConfigError.
+    The engine holds the features, labels and dense env ids of the samples
+    still to cover. Each iteration orders the available candidates by
+    (-utility, index). Without a filter the first is appended: the argmax,
+    lowest index on ties. ``leaf_filter(counts, order)`` instead returns the
+    first candidate it accepts as (rule index, leaf p-value), or None to stop
+    with ``no_valid_rule``; ``counts`` holds every rule's (label, env) leaf
+    table over the remaining samples, counted from the feature columns. Each
+    appended rule is applied to the remaining samples only, and the samples
+    it settles are dropped. ``stop_test(labels, envs)`` on what is left then
+    returns (p-value, stop), and stop ends the fit with
+    ``invariance_reached``. Env ids are densified once, so the cost does not
+    depend on their values. A disjunction is fitted on flipped labels:
+    candidates are counted and applied negated (De Morgan), while the model
+    and the log keep the caller's rules. Default candidates on data where no
+    column varies raise DataError; an explicit empty rule list raises
+    ConfigError.
     """
     if model_type not in ("conjunction", "disjunction"):
         raise ConfigError(f"unknown model_type {model_type!r}")
@@ -85,16 +89,16 @@ def _greedy_fit(
     rules = list(rules)
     if not rules:
         raise ConfigError("empty candidate rule set")
-    labels = dataset.labels
-    if model_type == "disjunction":
+    is_disjunction = model_type == "disjunction"
+    features, labels = dataset.features, dataset.labels
+    applied = rules
+    if is_disjunction:
         labels = 1 - labels
-        rules = [r.negated() for r in rules]
+        applied = [r.negated() for r in rules]
 
-    features = dataset.features
-    index, values = _rule_arrays(rules, features.shape[1])
+    index, values = _rule_arrays(applied, features.shape[1])
     _, envs = np.unique(dataset.envs, return_inverse=True)
     n_envs = int(envs.max()) + 1
-    active = np.ones(features.shape[0], dtype=bool)
     available = np.ones(len(rules), dtype=bool)
     chosen = []
     log = []
@@ -103,7 +107,7 @@ def _greedy_fit(
         if len(chosen) >= max_rules:
             stop = StopReason.MAX_RULES
             break
-        if not (labels[active] == 0).any():
+        if not (labels == 0).any():
             stop = StopReason.NO_NEGATIVES_LEFT
             break
         if not available.any():
@@ -111,7 +115,7 @@ def _greedy_fit(
             break
 
         counts = kernels.leaf_label_env_counts(
-            features[active], labels[active], envs[active], n_envs, index, values
+            features, labels, envs, n_envs, index, values
         )
         covered = counts[:, 0, :].sum(axis=1)
         errors = counts[:, 1, :].sum(axis=1)
@@ -129,10 +133,11 @@ def _greedy_fit(
 
         chosen.append(rules[best])
         available[best] = False
-        active &= prediction_matrix(features, [rules[best]])[:, 0] == 1
+        kept = prediction_matrix(features, [applied[best]])[:, 0] == 1
+        features, labels, envs = features[kept], labels[kept], envs[kept]
         stop_p = reached = None
         if stop_test is not None:
-            stop_p, reached = stop_test(labels[active], envs[active])
+            stop_p, reached = stop_test(labels, envs)
         log.append(
             IterationRecord(
                 rule=rules[best],
@@ -145,33 +150,10 @@ def _greedy_fit(
             stop = StopReason.INVARIANCE_REACHED
             break
 
-    model = Conjunction(rules=tuple(chosen))
-    report = FitReport(
+    model = Conjunction(rules=tuple(chosen), is_disjunction=is_disjunction)
+    return FitReport(
         model=model,
         selected_features=model.feature_indices(),
         per_iteration_log=tuple(log),
         stop_reason=stop,
-    )
-    return _dualize(report) if model_type == "disjunction" else report
-
-
-def _dualize(report):
-    """Map a conjunction fit on flipped labels back to a disjunction."""
-    model = Conjunction(
-        rules=tuple(r.negated() for r in report.model.rules), is_disjunction=True
-    )
-    log = tuple(
-        IterationRecord(
-            rule=rec.rule.negated(),
-            utility=rec.utility,
-            leaf_p_value=rec.leaf_p_value,
-            stop_p_value=rec.stop_p_value,
-        )
-        for rec in report.per_iteration_log
-    )
-    return FitReport(
-        model=model,
-        selected_features=model.feature_indices(),
-        per_iteration_log=log,
-        stop_reason=report.stop_reason,
     )

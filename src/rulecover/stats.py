@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
+from .data import _exact_cast
 from .errors import ConfigError, DataError
 
 _EPS = 1e-15
@@ -149,12 +150,12 @@ def _label_env_counts(y, e, strata=None):
     stratum id in ascending order (one stratum when ``strata`` is None), with
     the k distinct env ids numbered densely. Every table in this module is
     counted here."""
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    e = np.ascontiguousarray(e, dtype=np.int64)
+    y = _int64_ids(y, "labels must be 0/1 valued")
+    e = _int64_ids(e, "environment ids must be integers")
     one_stratum = strata is None
     if one_stratum:
         strata = np.zeros_like(y)  # already dense
-    strata = np.ascontiguousarray(strata, dtype=np.int64)
+    strata = _int64_ids(strata, "strata must be integers")
     if y.ndim != 1 or e.shape != y.shape or strata.shape != y.shape:
         raise DataError(
             "y, e and strata must be equal-length vectors, "
@@ -170,6 +171,16 @@ def _label_env_counts(y, e, strata=None):
     return kernels.stratified_label_env_counts(
         strata, int(strata.max()) + 1, y, e_dense, int(e_dense.max()) + 1
     )
+
+
+def _int64_ids(values, message):
+    """``values`` as a contiguous int64 array. Integer and bool arrays are
+    cast as they are; any other dtype follows ``Dataset``'s rule and refuses
+    a value the cast would change, such as a fraction, with DataError."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return np.ascontiguousarray(values, dtype=np.int64)
+    return _exact_cast(values, np.int64, message)
 
 
 def independence_test(y, e, method="chi2"):
@@ -217,12 +228,19 @@ def joint_strata(features, feature_indices):
     """Stratum ids from the joint value of binary feature columns.
 
     An empty index set yields a single all-zero stratum, which reduces the
-    conditional G-test to the unconditional one.
+    conditional G-test to the unconditional one. An index that is negative,
+    not below the column count, or repeated raises DataError.
     """
     features = np.asarray(features)
     cols = sorted(feature_indices)
     if not cols:
         return np.zeros(features.shape[0], dtype=np.int64)
+    d = features.shape[1]
+    if cols[0] < 0 or cols[-1] >= d or len(set(cols)) < len(cols):
+        raise DataError(
+            f"feature indices must be distinct columns of {d}-column data, "
+            f"got {cols}"
+        )
     if len(cols) > 62:
         raise DataError(f"cannot pack {len(cols)} features into stratum ids")
     weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)

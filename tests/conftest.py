@@ -86,6 +86,11 @@ def load_dataset_csv_reference(path):
     )
 
 
+def n_distinct_envs(dataset):
+    """The number of distinct environment ids in a dataset."""
+    return int(np.unique(dataset.envs).size)
+
+
 def utility(rule, negative_features, positive_features, p):
     """Covered negatives minus p times misclassified positives."""
     covered = int((evaluate(rule, negative_features) == 0).sum())

@@ -13,7 +13,7 @@ from rulecover.icp import IcpConfig, IcpReport, SubsetTest, icp_report
 from rulecover.simulator import SimConfig, simulate
 from rulecover.stats import conditional_gtest, joint_strata
 
-from conftest import no_enumeration
+from conftest import n_distinct_envs, no_enumeration
 
 
 def _independent_dataset(seed=0, m=400, d=3):
@@ -140,7 +140,7 @@ def _reference_report(dataset, config):
     data fills ``min_samples_per_cell`` samples per cell of its 2 * k * 2**|S|
     (label, env, stratum) cells."""
     d = dataset.n_features
-    k = dataset.n_distinct_envs
+    k = n_distinct_envs(dataset)
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
     tests, selected = [], None
     for size in range(max_size + 1):
@@ -248,7 +248,7 @@ def test_level_scan_matches_per_subset_reference(
     with mock.patch.multiple(
         icp, _LEVEL_CELLS=level_cells, _BLOCK_CELLS=block_cells
     ):
-        if dataset.n_distinct_envs < 2:
+        if n_distinct_envs(dataset) < 2:
             with pytest.raises(ConfigError):
                 icp_report(dataset, config)
         else:

@@ -10,7 +10,12 @@ from rulecover.icscm import IcscmConfig, icscm_fit, prune
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.simulator import SimConfig, simulate
 
-from conftest import eager_icscm_reference, leaf_invariance_pvalue, random_instance
+from conftest import (
+    eager_icscm_reference,
+    leaf_invariance_pvalue,
+    n_distinct_envs,
+    random_instance,
+)
 
 
 def _sim(xb=3, seed=0, m=10000):
@@ -193,7 +198,7 @@ def test_disjunction_duality():
     while fitted < 10:
         ds = random_instance(rng)
         rules = candidate_rules(ds)
-        if ds.n_distinct_envs < 2 or not rules:
+        if n_distinct_envs(ds) < 2 or not rules:
             continue
         fitted += 1
         config = IcscmConfig(max_rules=4, alpha=0.3, min_leaf=5)

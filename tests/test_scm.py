@@ -191,13 +191,15 @@ def test_disjunction_fits_or_concept():
 @pytest.mark.parametrize("model_type", ["conjunction", "disjunction"])
 def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
     # Leaf tables come from feature column sums, so the engine applies only
-    # the rule it appends, never the whole candidate list.
+    # the rule it appends, never the whole candidate list, and only to the
+    # samples the rules before it kept.
     calls = []
     inner = scm_module.prediction_matrix
 
     def recorder(features, rules):
-        calls.append(len(rules))
-        return inner(features, rules)
+        out = inner(features, rules)
+        calls.append((len(rules), features.shape[0], int((out[:, 0] == 1).sum())))
+        return out
 
     monkeypatch.setattr(scm_module, "prediction_matrix", recorder)
     ds, _ = simulate(SimConfig(n_samples_per_env=500, n_distractors=4, seed=3))
@@ -207,4 +209,6 @@ def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
         config = IcscmConfig(prune=False)
         report = icscm_fit(ds, config, model_type=model_type)
     assert len(report.per_iteration_log) >= 1
-    assert calls == [1] * len(report.per_iteration_log)
+    n_rules, rows, kept = zip(*calls)
+    assert n_rules == (1,) * len(report.per_iteration_log)
+    assert rows == (ds.n_samples,) + kept[:-1]

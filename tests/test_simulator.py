@@ -13,6 +13,8 @@ from rulecover.simulator import (
 from rulecover.stats import independence_test
 from rulecover.data import load_dataset_csv
 
+from conftest import n_distinct_envs
+
 
 def test_config_validation():
     with pytest.raises(ConfigError):
@@ -128,7 +130,7 @@ def test_three_envs_with_explicit_table():
         seed=2,
     )
     ds, truth = simulate(config)
-    assert ds.n_distinct_envs == 3
+    assert n_distinct_envs(ds) == 3
     # with eps_child = 1 the child records min(env, 1) exactly
     child = ds.features[:, truth.child_index]
     assert np.array_equal(child, np.minimum(ds.envs, 1).astype(np.uint8))

@@ -121,6 +121,32 @@ class TestIndependenceTest:
         with pytest.raises(DataError):
             independence_test(np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "y, e, match",
+        [
+            ([0.5, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 1], "labels"),
+            ([0, 1, 0, 1], [0.2, 1.5, 0, 1], "environment ids"),
+            ([0, 1, 0, 1], [0, 1, float("nan"), 1], "environment ids"),
+        ],
+    )
+    def test_fractional_labels_and_envs_are_refused(self, y, e, match):
+        # 0.5 used to be read as label 0 (p = 0.414), 0.2/1.5 as envs 0/1
+        with pytest.raises(DataError, match=match):
+            independence_test(y, e)
+        with pytest.raises(DataError, match=match):
+            conditional_gtest(y, e, np.zeros(len(y), dtype=np.int64))
+
+    def test_fractional_strata_are_refused(self):
+        with pytest.raises(DataError, match="strata"):
+            conditional_gtest([0, 1, 0, 1], [0, 1, 0, 1], [0.3, 1.9, 0, 1])
+
+    def test_integral_floats_and_bools_are_read_as_ids(self):
+        y = np.array([0, 1, 0, 1, 1, 0], dtype=np.int64)
+        e = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        expected = independence_test(y, e)
+        assert independence_test(y.astype(bool), e.astype(np.float64)) == expected
+        assert independence_test(y.astype(np.float32), e.astype(np.uint8)) == expected
+
     def test_contingency_table_from_vectors(self):
         y, e = table_to_vectors([[3, 1], [2, 4]])
         counts = _label_env_counts(y, e)
@@ -213,3 +239,11 @@ def test_joint_strata_packs_bits():
     assert joint_strata(X, [0, 1]).tolist() == [0, 1, 2, 3]
     assert joint_strata(X, []).tolist() == [0, 0, 0, 0]
     assert joint_strata(X, [1]).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("columns", [[-1], [2], [5], [1, 1], [0, 1, 0]])
+def test_joint_strata_refuses_bad_columns(columns):
+    # [-1] used to pack the last column, [1, 1] x1 twice, [5] an IndexError
+    X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(DataError, match="distinct columns of 2-column data"):
+        joint_strata(X, columns)
