@@ -172,13 +172,17 @@ def cmd_prune(args):
     return 0
 
 
-def cmd_icp(args):
-    dataset = load_dataset_csv(args.data)
-    config = IcpConfig(
+def _icp_config(args):
+    return IcpConfig(
         alpha=args.alpha,
         max_subset_size=args.max_subset_size,
         min_samples_per_cell=args.min_cell,
     )
+
+
+def cmd_icp(args):
+    dataset = load_dataset_csv(args.data)
+    config = _icp_config(args)
     report = icp_report(dataset, config)
     selected = sorted(report.selected)
     n_accepted = sum(t.accepted for t in report.tests)
@@ -218,11 +222,7 @@ def _build_grid(args, record_timings=True):
         icscm_config=IcscmConfig(
             p=args.p, max_rules=args.max_rules, alpha=args.alpha
         ),
-        icp_config=IcpConfig(
-            alpha=args.alpha,
-            max_subset_size=args.max_subset_size,
-            min_samples_per_cell=args.min_cell,
-        ),
+        icp_config=_icp_config(args),
         record_timings=record_timings,
         jobs=getattr(args, "jobs", 1),
     )
@@ -268,6 +268,17 @@ def _add_fit_hyper_flags(parser):
     parser.add_argument("--max-rules", type=int, default=10)
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="independence-test threshold")
+
+
+def _add_grid_flags(parser):
+    """The flags experiment and benchmark share."""
+    parser.add_argument("--methods", default="scm,icscm,icp")
+    parser.add_argument("--seed", type=int, default=0)
+    _add_sim_flags(parser)
+    _add_fit_hyper_flags(parser)
+    parser.add_argument("--max-subset-size", type=int, default=None)
+    parser.add_argument("--min-cell", type=int, default=10)
+    parser.add_argument("-o", "--out", required=True)
 
 
 def build_parser():
@@ -327,32 +338,20 @@ def build_parser():
     p.set_defaults(func=cmd_icp)
 
     p = sub.add_parser("experiment", help="identification-rate grid")
-    p.add_argument("--methods", default="scm,icscm,icp")
+    _add_grid_flags(p)
     p.add_argument("--xb", default="1..7", help="distractor sizes, e.g. '1..7'")
     p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    _add_sim_flags(p)
-    _add_fit_hyper_flags(p)
-    p.add_argument("--max-subset-size", type=int, default=None)
-    p.add_argument("--min-cell", type=int, default=10)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--plot-data", action="store_true",
                    help="also emit tidy per-figure CSVs")
     p.add_argument("--no-timing", action="store_true",
                    help="write wall_time_s as 0 for byte-identical re-runs")
-    p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("benchmark", help="runtime curves per method")
-    p.add_argument("--methods", default="scm,icscm,icp")
+    _add_grid_flags(p)
     p.add_argument("--xb", default="2..10")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_sim_flags(p)
-    _add_fit_hyper_flags(p)
-    p.add_argument("--max-subset-size", type=int, default=None)
-    p.add_argument("--min-cell", type=int, default=10)
-    p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -217,12 +217,7 @@ def prediction_matrix(features, rules):
     model output and every rule a fit appends is applied through it."""
     features = np.asarray(features)
     index, values = _rule_arrays(rules, features.shape[1])
-    out = np.take(features, index, axis=1)
-    # uint8 input (every Dataset) is compared in place, without a second m x n
-    # buffer; any other dtype is compared at its own width.
-    fired = out.view(bool) if out.dtype == np.uint8 else np.empty(out.shape, bool)
-    np.equal(out, values, out=fired)
-    return fired.view(np.uint8)
+    return (np.take(features, index, axis=1) == values).view(np.uint8)
 
 
 def candidate_rules(dataset):

@@ -4,7 +4,7 @@ Every feature subset S is scored with a conditional G-test of the label
 against the environment given the joint value of S; the result is the
 intersection of all subsets whose test does not reject independence. Costs
 2**d tests, which is why it only runs at desk scale; ``check_feasible``
-refuses a run of more than 2**feasibility_limit tests, capped or not.
+refuses a run of more than 2**20 tests, capped or not.
 
 The data is read once: each sample is reduced to the id of its distinct
 feature row, and one count gives a (label, environment) table per distinct
@@ -27,9 +27,10 @@ Memory is O(R) per subset in the second case. In the first it is at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
 level summed from it and one temporary) plus scoring blocks of
 ``_BLOCK_CELLS`` cells.
-Counts are exact integers, and every subset's statistic is summed over its
-own tables in ascending stratum order, so p-values do not depend on how the
-subsets were grouped.
+Counts are exact integers, and every subset is scored by
+``stats.stratified_tests``, which sums its statistic over its own tables in
+ascending stratum order, so p-values do not depend on how the subsets were
+grouped.
 """
 
 import math
@@ -42,11 +43,10 @@ import numpy as np
 from . import _kernels as kernels
 from .errors import ConfigError, InfeasibleError
 from .stats import (
+    TestResult,
     _require_environments,
-    _result_from,
     joint_strata,
-    stratified_gtest,
-    table_stats,
+    stratified_tests,
 )
 
 # Not called here (icp_report sums the same tables from a cache); the traced
@@ -58,6 +58,10 @@ from .stats import conditional_gtest  # noqa: F401
 # block of subsets scored together: bound the memory a level takes.
 _LEVEL_CELLS = 2**20
 _BLOCK_CELLS = 2**14
+# A scan of more than 2**_FEASIBILITY_LIMIT subset tests is refused.
+_FEASIBILITY_LIMIT = 20
+# The outcome of a subset size the min_samples_per_cell guard skips.
+_UNTESTED = TestResult(statistic=0.0, dof=0, p_value=1.0, degenerate=True)
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,11 @@ class IcpConfig:
     points only; identification experiments never cap. min_samples_per_cell:
     declare a subset's test degenerate (p = 1, accepted) unless the data
     provides this many samples per cell of the full (label, env, S) table;
-    0 disables the guard. feasibility_limit: refuse runs of more than
-    2**feasibility_limit subset tests, capped or not."""
+    0 disables the guard."""
 
     alpha: float = 0.05
     max_subset_size: Optional[int] = None
     min_samples_per_cell: int = 10
-    feasibility_limit: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -100,17 +102,17 @@ class IcpReport:
 
 def check_feasible(n_features, config):
     """Refuse with InfeasibleError a scan of more than
-    2**feasibility_limit subset tests: sum C(d, s) for s up to
+    2**_FEASIBILITY_LIMIT subset tests: sum C(d, s) for s up to
     max_subset_size, which is 2**d uncapped."""
     max_size = config.max_subset_size
     if max_size is None or max_size >= n_features:
         n_tests = 2**n_features
     else:
         n_tests = sum(math.comb(n_features, s) for s in range(max_size + 1))
-    if n_tests > 2**config.feasibility_limit:
+    if n_tests > 2**_FEASIBILITY_LIMIT:
         raise InfeasibleError(
             f"icp over {n_features} features needs {n_tests} subset tests "
-            f"(limit 2**{config.feasibility_limit}); set or lower max_subset_size"
+            f"(limit 2**{_FEASIBILITY_LIMIT}); set or lower max_subset_size"
         )
 
 
@@ -139,13 +141,12 @@ def icp_report(dataset, config):
     held = None
     for size in range(top, -1, -1):
         subsets = list(combinations(range(d), size))
+        outcomes[size] = []
         if 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
             held = None
-            outcomes[size] = []
             for subset in subsets:
                 counts = _subset_counts(table, rows, subset)
-                counts = counts[counts.any(axis=1)].reshape(-1, 2, k)
-                outcomes[size].append(_outcome(stratified_gtest(counts)))
+                outcomes[size] += stratified_tests(counts.reshape(1, -1, 2, k))
             continue
         if held is None:
             held = np.empty((len(subsets), 2**size, 2 * k))
@@ -154,21 +155,24 @@ def icp_report(dataset, config):
         else:
             held = _marginal_level_counts(held, held_subsets, subsets)
         held_subsets = subsets
-        outcomes[size] = _score_level(held, k)
+        level = held.reshape(len(subsets), -1, 2, k)
+        step = max(1, _BLOCK_CELLS // level[0].size)
+        for start in range(0, len(level), step):
+            outcomes[size] += stratified_tests(level[start : start + step])
 
     tests = []
     selected = None
     for size in range(max_size + 1):
-        for subset, (p_value, degenerate) in zip(
-            combinations(range(d), size), outcomes.get(size, repeat((1.0, True)))
+        for subset, result in zip(
+            combinations(range(d), size), outcomes.get(size, repeat(_UNTESTED))
         ):
-            accepted = p_value > config.alpha
+            accepted = result.p_value > config.alpha
             tests.append(
                 SubsetTest(
                     features=subset,
-                    p_value=p_value,
+                    p_value=result.p_value,
                     accepted=accepted,
-                    degenerate=degenerate,
+                    degenerate=result.degenerate,
                 )
             )
             if accepted:
@@ -235,30 +239,3 @@ def _marginal_level_counts(parents, parent_subsets, subsets):
     counts += flat[strata | bit]
     return counts
 
-
-def _score_level(counts, k):
-    """(p-value, degenerate) per subset of an (n_subsets, n_strata, 2k) count
-    array. One ``table_stats`` per block scores the occupied strata of every
-    subset in it; each subset's statistic is then the sum of its own
-    contiguous slice, in ascending stratum order as ``stratified_gtest`` sums
-    it."""
-    outcomes = []
-    step = max(1, _BLOCK_CELLS // counts[0].size)
-    for start in range(0, len(counts), step):
-        block = counts[start : start + step]
-        occupied = block.any(axis=2)
-        stat, dof = table_stats(block[occupied].reshape(-1, 2, k), "gtest")
-        n_occupied = occupied.sum(axis=1)
-        ends = np.cumsum(n_occupied)
-        starts = ends - n_occupied
-        dof_before = np.concatenate([[0], np.cumsum(dof)])
-        dofs = dof_before[ends] - dof_before[starts]
-        outcomes += [
-            _outcome(_result_from(stat[a:b].sum(), n_dof))
-            for a, b, n_dof in zip(starts.tolist(), ends.tolist(), dofs.tolist())
-        ]
-    return outcomes
-
-
-def _outcome(result):
-    return float(result.p_value), result.degenerate

@@ -3,7 +3,8 @@
 Provides the chi-square survival function (via regularized incomplete gamma),
 unconditional chi-square/G independence tests on (label, environment)
 contingency tables, and the stratified (conditional) G-test used by pruning
-and the exhaustive-subset baseline.
+and the exhaustive-subset baseline. Every one of these tests is scored by
+``stratified_tests``.
 """
 
 import math
@@ -190,8 +191,7 @@ def independence_test(y, e, method="chi2"):
     and p = 1: independence is not refutable, so callers that filter on
     dependence treat the test as passing.
     """
-    stat, dof = table_stats(_label_env_counts(y, e), method)
-    return _result_from(stat[0], dof[0])
+    return stratified_tests(_label_env_counts(y, e)[None], method)[0]
 
 
 def _require_environments(envs):
@@ -210,18 +210,29 @@ def conditional_gtest(y, e, strata):
     The statistic and dof are accumulated over non-empty strata only, with
     per-stratum dof counting nonzero marginals.
     """
-    return stratified_gtest(_label_env_counts(y, e, strata))
+    return stratified_tests(_label_env_counts(y, e, strata)[None])[0]
 
 
-def stratified_gtest(counts):
-    """G-test of label against environment summed over strata.
+def stratified_tests(counts, method="gtest"):
+    """One test of label against environment, summed over strata, per set.
 
-    ``counts`` is an (n_strata, 2, k) array holding only non-empty strata, in
-    ascending stratum id: the order fixes how the floating-point sum groups
-    its terms, so every caller gets bit-identical p-values for equal tables.
+    ``counts`` has shape (n_sets, n_strata, 2, k), strata in ascending id.
+    Empty strata are dropped and one ``table_stats`` scores the rest; each
+    set's statistic and dof are then summed over its own strata in ascending
+    order. That order fixes how the floating-point sum groups its terms, so
+    equal tables give bit-identical p-values however the sets are batched.
     """
-    stat, dof = table_stats(counts, "gtest")
-    return _result_from(stat.sum(), dof.sum())
+    occupied = counts.any(axis=(2, 3))
+    stat, dof = table_stats(counts[occupied], method)
+    n_occupied = occupied.sum(axis=1)
+    ends = np.cumsum(n_occupied)
+    starts = ends - n_occupied
+    dof_before = np.concatenate([[0], np.cumsum(dof)])
+    dofs = dof_before[ends] - dof_before[starts]
+    return [
+        _result_from(stat[a:b].sum(), n_dof)
+        for a, b, n_dof in zip(starts.tolist(), ends.tolist(), dofs.tolist())
+    ]
 
 
 def joint_strata(features, feature_indices):

@@ -102,7 +102,7 @@ def test_max_subset_size_caps_enumeration():
 def test_feasibility_refusal():
     ds = _independent_dataset(seed=3, d=25)
     with pytest.raises(InfeasibleError):
-        icp_report(ds, IcpConfig(feasibility_limit=20))
+        icp_report(ds, IcpConfig())
     # a cap counts the tests it keeps: sum C(30, s) for s <= 15 > 2**20
     wide = _independent_dataset(seed=3, m=60, d=30)
     capped = IcpConfig(max_subset_size=15, min_samples_per_cell=0)
@@ -110,9 +110,7 @@ def test_feasibility_refusal():
         with pytest.raises(InfeasibleError, match="614429672 subset tests"):
             icp_report(wide, capped)
     # capping restores feasibility
-    report = icp_report(
-        ds, IcpConfig(max_subset_size=1, feasibility_limit=20, min_samples_per_cell=0)
-    )
+    report = icp_report(ds, IcpConfig(max_subset_size=1, min_samples_per_cell=0))
     assert isinstance(report.selected, frozenset)
 
 

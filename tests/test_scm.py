@@ -77,6 +77,12 @@ def test_max_rules_cap(xor_and_dataset):
     report = scm_fit(xor_and_dataset, ScmConfig(max_rules=1))
     assert len(report.model) == 1
     assert report.stop_reason == StopReason.MAX_RULES
+    # a caller's candidate list that runs out stops the fit below the cap
+    ds, _ = simulate(SimConfig(n_distractors=1, n_samples_per_env=500, seed=2))
+    for fit, config in ((scm_fit, ScmConfig), (icscm_fit, IcscmConfig)):
+        report = fit(ds, config(max_rules=5), rules=[Rule(0, 1)])
+        assert report.model.rules == (Rule(0, 1),)
+        assert report.stop_reason == StopReason.NO_VALID_RULE
 
 
 def test_empty_candidate_set_rejected(xor_and_dataset):

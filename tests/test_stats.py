@@ -8,10 +8,13 @@ from rulecover import stats
 from rulecover.errors import DataError
 from rulecover.stats import (
     _label_env_counts,
+    _result_from,
     chi2_sf,
     conditional_gtest,
     independence_test,
     joint_strata,
+    stratified_tests,
+    table_stats,
 )
 
 from conftest import table_to_vectors
@@ -66,6 +69,9 @@ class TestChi2Sf:
             chi2_sf(2e6, 2 * 10**6)
         with pytest.raises(ArithmeticError):
             chi2_sf(5e5, 5 * 10**5)
+        # x/2 >= dof/2 + 1 takes the continued fraction
+        with pytest.raises(ArithmeticError, match="continued fraction"):
+            chi2_sf(2e6 + 4, 2 * 10**6)
         assert chi2_sf(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
 
     def test_vanishes_at_infinity(self):
@@ -127,14 +133,22 @@ class TestIndependenceTest:
             ([0.5, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 1], "labels"),
             ([0, 1, 0, 1], [0.2, 1.5, 0, 1], "environment ids"),
             ([0, 1, 0, 1], [0, 1, float("nan"), 1], "environment ids"),
+            ([0, 2, 0, 1], [0, 0, 1, 1], "labels"),
+            ([], [], "at least one sample"),
         ],
     )
     def test_fractional_labels_and_envs_are_refused(self, y, e, match):
-        # 0.5 used to be read as label 0 (p = 0.414), 0.2/1.5 as envs 0/1
+        # 0.5 used to be read as label 0 (p = 0.414), 0.2/1.5 as envs 0/1;
+        # a label of 2 and empty vectors are refused the same way
         with pytest.raises(DataError, match=match):
             independence_test(y, e)
         with pytest.raises(DataError, match=match):
             conditional_gtest(y, e, np.zeros(len(y), dtype=np.int64))
+
+    def test_unknown_method_is_refused(self):
+        y, e = table_to_vectors([[3, 1], [2, 4]])
+        with pytest.raises(DataError, match="unknown test method 'bogus'"):
+            independence_test(y, e, method="bogus")
 
     def test_fractional_strata_are_refused(self):
         with pytest.raises(DataError, match="strata"):
@@ -233,12 +247,41 @@ class TestConditionalGtest:
         assert result.degenerate and result.p_value == 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from(["chi2", "gtest"]),
+    st.sampled_from([np.int64, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stratified_tests_match_per_set_reference(
+    n_sets, n_strata, k, method, dtype, seed
+):
+    # the reference scores each set on its own: one table_stats over the
+    # set's occupied strata, summed; empty strata sit between occupied ones,
+    # and a set may have none
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 8, (n_sets, n_strata, 2, k)).astype(dtype)
+    counts[rng.random((n_sets, n_strata)) < 0.4] = 0
+    results = stratified_tests(counts, method)
+    assert len(results) == n_sets
+    for result, tables in zip(results, counts):
+        stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
+        assert result == _result_from(stat.sum(), dof.sum())
+
+
 
 def test_joint_strata_packs_bits():
     X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     assert joint_strata(X, [0, 1]).tolist() == [0, 1, 2, 3]
     assert joint_strata(X, []).tolist() == [0, 0, 0, 0]
     assert joint_strata(X, [1]).tolist() == [0, 0, 1, 1]
+    wide = np.ones((1, 63), dtype=np.uint8)
+    assert joint_strata(wide, range(62)).tolist() == [2**62 - 1]
+    with pytest.raises(DataError, match="cannot pack 63 features"):
+        joint_strata(wide, range(63))
 
 
 @pytest.mark.parametrize("columns", [[-1], [2], [5], [1, 1], [0, 1, 0]])
