@@ -1,7 +1,7 @@
 """Command-line surface: simulate, fit, prune, icp, experiment, benchmark.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 refused as
-infeasible. All randomness flows from --seed; no ambient entropy.
+Exit codes: 0 success, 2 usage/config error or unwritable output, 3 data
+error, 4 refused as infeasible. All randomness flows from --seed.
 """
 
 import argparse
@@ -362,7 +362,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

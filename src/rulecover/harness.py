@@ -1,5 +1,7 @@
 """Experiment driver: identification-rate grids over (method, distractor
-count, seed), runtime curves, and tidy CSV output.
+count, seed), runtime curves, and tidy CSV output. ``run_identification`` is
+the one loop over grid cells; the runtime curves time the same cells as an
+experiment, one after another, and report per-cell medians.
 
 Per-run seeds are derived as SeedSequence((master_seed, xb_size, run_index)),
 so every run is reproducible in isolation and all methods within a run see
@@ -114,13 +116,6 @@ def precision_recall(selected, parents):
     return precision, recall
 
 
-def check_icp_feasible(grid):
-    """Refuse an icp grid whose widest cell (xb + 3 features) needs more
-    subset tests than ``icp.check_feasible`` allows."""
-    if any(m == "icp" for m in grid.methods):
-        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
-
-
 def _fit_selected(method, dataset, grid):
     if method == "scm":
         return set(scm_fit(dataset, grid.scm_config).selected_features)
@@ -166,8 +161,10 @@ def _run_cell(args):
 def run_identification(grid, out_dir=None, plot_data=False):
     """Run the grid and return the per-run results, optionally writing
     identification.csv, summary.csv, manifest.json (and the tidy plot CSV)
-    under ``out_dir``."""
-    check_icp_feasible(grid)
+    under ``out_dir``. An icp grid too wide for ``icp.check_feasible`` (at
+    max xb + 3 features) is refused before any cell runs."""
+    if "icp" in grid.methods:
+        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
     tasks = [
         (grid, xb, run) for xb in grid.xb_sizes for run in range(grid.n_runs)
     ]
@@ -273,26 +270,26 @@ def write_manifest(grid, out_dir):
 
 
 def run_runtime_benchmark(grid, repeats=3, out_dir=None):
-    """Median fit wall time per (method, xb_size) over the grid's first
-    ``repeats`` runs, fitted sequentially (data generation is not timed).
-    Returns rows of dicts; optionally writes benchmark.csv."""
-    check_icp_feasible(grid)
+    """Median fit wall time per (method, xb_size) over runs 0..repeats-1 of
+    ``run_identification``'s cells, timed one after another in this process
+    whatever ``grid.jobs`` says (data generation is not timed). Returns row
+    dicts in (xb_size, method) grid order; optionally writes benchmark.csv."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    timed = replace(grid, record_timings=True)
-    rows = []
-    for xb_size in grid.xb_sizes:
-        cells = [_run_cell((timed, xb_size, rep)) for rep in range(repeats)]
-        for i, method in enumerate(grid.methods):
-            times = [cell[i].wall_time_s for cell in cells]
-            rows.append(
-                {
-                    "method": method,
-                    "xb_size": xb_size,
-                    "repeats": repeats,
-                    "median_wall_time_s": float(np.median(times)),
-                }
-            )
+    timed = replace(grid, n_runs=repeats, record_timings=True, jobs=1)
+    times = {}
+    for r in run_identification(timed):
+        times.setdefault((r.xb_size, r.method), []).append(r.wall_time_s)
+    rows = [
+        {
+            "method": method,
+            "xb_size": xb_size,
+            "repeats": repeats,
+            "median_wall_time_s": float(np.median(times[xb_size, method])),
+        }
+        for xb_size in grid.xb_sizes
+        for method in grid.methods
+    ]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

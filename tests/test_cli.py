@@ -375,6 +375,34 @@ def test_benchmark_subcommand(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--data", "{data}", "-o", "{dir}"],
+        ["fit", "--data", "{data}", "--manifest", "{missing}/x.json"],
+        ["icp", "--data", "{data}", "-o", "{missing}/icp.json"],
+        ["simulate", "--xb", "1", "--samples", "200", "-o", "{file}"],
+        ["experiment", "--methods", "scm", "--xb", "1", "--runs", "1",
+         "--samples", "200", "-o", "{file}"],
+        ["benchmark", "--methods", "scm", "--xb", "1", "--repeats", "1",
+         "--samples", "200", "-o", "{file}"],
+    ],
+    ids=["fit-dir", "fit-manifest", "icp", "simulate", "experiment", "benchmark"],
+)
+def test_unwritable_output_is_config_error(argv, sim_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = dict(
+        data=sim_dir / "dataset.csv", dir=sim_dir, missing=tmp_path / "missing",
+        file=taken,
+    )
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert argv[-1] in err
+
+
 def test_manifest_flag(sim_dir, tmp_path):
     manifest = tmp_path / "resolved.json"
     assert main(

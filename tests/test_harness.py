@@ -197,11 +197,34 @@ def test_icscm_noprune_method():
     assert {r.method for r in results} == {"icscm", "icscm_noprune"}
 
 
-def test_runtime_benchmark(tmp_path):
-    grid = _small_grid(methods=("scm", "icscm"), xb_sizes=(1, 2), n_runs=1)
-    rows = run_runtime_benchmark(grid, repeats=2, out_dir=tmp_path)
-    assert len(rows) == 4
+def test_runtime_benchmark(tmp_path, monkeypatch):
+    calls = []
+    run_cell = harness._run_cell
+
+    def recording_run_cell(args):
+        calls.append(args)
+        return run_cell(args)
+
+    monkeypatch.setattr(harness, "_run_cell", recording_run_cell)
+    # neither order is sorted, so grid order shows in the calls and the rows
+    grid = _small_grid(methods=("icscm", "scm"), xb_sizes=(2, 1), n_runs=1)
+    rows = run_runtime_benchmark(replace(grid, jobs=2), repeats=2, out_dir=tmp_path)
+    # the timed cells run in this process, one after another, xb-major
+    assert [(xb, run) for _, xb, run in calls] == [(2, 0), (2, 1), (1, 0), (1, 1)]
+    assert all(cell_grid.record_timings for cell_grid, _, _ in calls)
+    assert all(cell_grid.master_seed == grid.master_seed for cell_grid, _, _ in calls)
+    cells = [(2, "icscm"), (2, "scm"), (1, "icscm"), (1, "scm")]
+    assert [(row["xb_size"], row["method"]) for row in rows] == cells
+    assert all(row["repeats"] == 2 for row in rows)
     assert all(row["median_wall_time_s"] > 0 for row in rows)
     lines = (tmp_path / "benchmark.csv").read_text().splitlines()
     assert lines[0] == "method,xb_size,repeats,median_wall_time_s"
-    assert len(lines) == 5
+    assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+        (method, str(xb)) for xb, method in cells
+    ]
+    with pytest.raises(ConfigError, match=r"^repeats must be >= 1, got 0$"):
+        run_runtime_benchmark(grid, repeats=0)
+    calls.clear()
+    with pytest.raises(InfeasibleError):
+        run_runtime_benchmark(_small_grid(methods=("icp",), xb_sizes=(30,)), repeats=1)
+    assert calls == []
