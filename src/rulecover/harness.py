@@ -158,13 +158,23 @@ def _run_cell(args):
     return rows
 
 
+def _before_cells(grid, out_dir):
+    """Refuse an icp grid too wide for ``icp.check_feasible`` (at max xb + 3
+    features), then create ``out_dir`` when one is given, so that neither
+    is found out after the cells have run."""
+    if "icp" in grid.methods:
+        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+
+
 def run_identification(grid, out_dir=None, plot_data=False):
     """Run the grid and return the per-run results, optionally writing
     identification.csv, summary.csv, manifest.json (and the tidy plot CSV)
     under ``out_dir``. An icp grid too wide for ``icp.check_feasible`` (at
-    max xb + 3 features) is refused before any cell runs."""
-    if "icp" in grid.methods:
-        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
+    max xb + 3 features), or an ``out_dir`` that cannot be created, is
+    refused before any cell runs."""
+    _before_cells(grid, out_dir)
     tasks = [
         (grid, xb, run) for xb in grid.xb_sizes for run in range(grid.n_runs)
     ]
@@ -179,7 +189,6 @@ def run_identification(grid, out_dir=None, plot_data=False):
     results.sort(key=lambda r: (r.xb_size, r.seed, order[r.method]))
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_identification_csv(results, out_dir / "identification.csv")
         summary = summarize(results)
         write_summary_csv(summary, out_dir / "summary.csv")
@@ -273,9 +282,11 @@ def run_runtime_benchmark(grid, repeats=3, out_dir=None):
     """Median fit wall time per (method, xb_size) over runs 0..repeats-1 of
     ``run_identification``'s cells, timed one after another in this process
     whatever ``grid.jobs`` says (data generation is not timed). Returns row
-    dicts in (xb_size, method) grid order; optionally writes benchmark.csv."""
+    dicts in (xb_size, method) grid order; optionally writes benchmark.csv,
+    creating ``out_dir`` before any cell runs."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    _before_cells(grid, out_dir)
     timed = replace(grid, n_runs=repeats, record_timings=True, jobs=1)
     times = {}
     for r in run_identification(timed):
@@ -291,10 +302,10 @@ def run_runtime_benchmark(grid, repeats=3, out_dir=None):
         for method in grid.methods
     ]
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         columns = ("method", "xb_size", "repeats", "median_wall_time_s")
         _write_csv(
-            out_dir / "benchmark.csv", columns, ([r[c] for c in columns] for r in rows)
+            Path(out_dir) / "benchmark.csv",
+            columns,
+            ([r[c] for c in columns] for r in rows),
         )
     return rows

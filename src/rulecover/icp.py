@@ -6,11 +6,15 @@ intersection of all subsets whose test does not reject independence. Costs
 2**d tests, which is why it only runs at desk scale; ``check_feasible``
 refuses a run of more than 2**20 tests, capped or not.
 
-The data is read once: each sample is reduced to the id of its distinct
-feature row, and one count gives a (label, environment) table per distinct
-row (cached sufficient statistics, Moore & Lee, JAIR 1998). Every subset's
-table is summed from these, one size s at a time from the largest tested
-size down to 0. With R distinct rows and k environments:
+The data is read once, by ``_count_table``, the builder every fit uses: it
+gives each of the R distinct feature rows a (label, environment) table of
+counts (cached sufficient statistics, Moore & Lee, JAIR 1998). When the
+(row, label, env) key space 2**d * 2k is at most ``_KEYS_PER_SAMPLE`` keys
+per sample, one bincount over the packed rows makes the table, with no sort;
+on a wider key space the distinct rows are found by sorting. Every subset's
+table is summed from these (``_subset_counts``, which pruning in icscm.py
+shares), one size s at a time from the largest tested size down to 0. With
+k environments:
 
 - If 2**s <= R and the level's C(d, s) * 2**s tables of 2k cells fit in
   ``_LEVEL_CELLS``, the level is held whole. It is summed from the held level
@@ -58,6 +62,9 @@ from .stats import conditional_gtest  # noqa: F401
 # block of subsets scored together: bound the memory a level takes.
 _LEVEL_CELLS = 2**20
 _BLOCK_CELLS = 2**14
+# The data is compressed to its distinct rows by one bincount when the
+# (row, label, env) key space is at most this many keys per sample.
+_KEYS_PER_SAMPLE = 2
 # A scan of more than 2**_FEASIBILITY_LIMIT subset tests is refused.
 _FEASIBILITY_LIMIT = 20
 # The outcome of a subset size the min_samples_per_cell guard skips.
@@ -122,20 +129,15 @@ def icp_report(dataset, config):
     d = dataset.n_features
     check_feasible(d, config)
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
-    env_ids, envs = np.unique(dataset.envs, return_inverse=True)
-    k = len(env_ids)
+    rows, table = _count_table(dataset, sort_wide=True)
+    k = table.shape[2]
+    table = table.reshape(len(rows), 2 * k).astype(np.float64)
     # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
     top = max_size
     while top >= 0 and config.min_samples_per_cell and (
         dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**top
     ):
         top -= 1
-
-    rows, row_ids = _distinct_rows(dataset.features)
-    table = kernels.stratified_label_env_counts(
-        row_ids, len(rows), dataset.labels, envs, k
-    )
-    table = table.reshape(len(rows), 2 * k).astype(np.float64)
 
     outcomes = {}
     held = None
@@ -183,6 +185,63 @@ def icp_report(dataset, config):
     )
 
 
+def _count_table(dataset, sort_wide, pool_envs=False):
+    """The data as distinct feature rows and their (label, env) counts:
+    ``rows`` (R, d) 0/1 and ``counts`` (R, 2, k) int64, with env ids
+    numbered densely in ascending order. ``pool_envs`` counts every sample
+    in one environment (k = 1), for a fit that never reads env ids.
+
+    When the key space of (row, label, env) is at most
+    ``_KEYS_PER_SAMPLE`` times the sample count, one bincount over the
+    packed rows counts it and the occupied rows are kept in ascending
+    packed order, with no sort. On a wider key space, ``sort_wide`` finds
+    the distinct rows by sorting (same rows, same order); otherwise every
+    sample is its own row, with a count of 1.
+    """
+    features = dataset.features
+    m, d = features.shape
+    if pool_envs:
+        envs, k = np.zeros(m, dtype=np.int64), 1
+    else:
+        envs, k = _dense_ids(dataset.envs)
+    if 2**d * 2 * k <= _KEYS_PER_SAMPLE * m:
+        keys = joint_strata(features, range(d))
+        counts = kernels.stratified_label_env_counts(
+            keys, 2**d, dataset.labels, envs, k
+        )
+        occupied = np.flatnonzero(np.bincount(keys, minlength=2**d))
+        return _unpack_keys(occupied, d), np.take(counts, occupied, axis=0)
+    if sort_wide:
+        rows, row_ids = _distinct_rows(features)
+    else:
+        rows, row_ids = features, np.arange(m)
+    counts = kernels.stratified_label_env_counts(
+        row_ids, len(rows), dataset.labels, envs, k
+    )
+    return rows, counts
+
+
+def _unpack_keys(keys, width):
+    """The 0/1 rows that ``joint_strata`` packs into ``keys`` over ``width``
+    columns: a row is its key's bits, lowest first."""
+    key_bytes = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(key_bytes, axis=1, count=width, bitorder="little")
+
+
+def _dense_ids(ids):
+    """Non-negative ids numbered densely in ascending order, and how many
+    distinct ones there are. Ids below their count are numbered through a
+    table of the ids present, so memory stays bounded by the data; larger
+    ids are sorted."""
+    if ids.max() < len(ids):
+        present = np.bincount(ids) > 0
+        if not present.all():
+            ids = (np.cumsum(present) - 1)[ids]
+        return ids, int(present.sum())
+    distinct, ids = np.unique(ids, return_inverse=True)
+    return ids, len(distinct)
+
+
 def _distinct_rows(features):
     """The distinct rows of a 0/1 matrix, and the index into them of every
     sample. Rows of up to 62 features are keyed by one packed integer, wider
@@ -203,15 +262,15 @@ def _subset_counts(table, rows, subset):
     ``table``: all 2**|S| strata when they are at most the distinct rows,
     else only the occupied ones."""
     strata = joint_strata(rows, subset)
-    width = table.shape[1]
     if 2 ** len(subset) <= len(rows):
         n_strata = 2 ** len(subset)
     else:
         occupied, strata = np.unique(strata, return_inverse=True)
         n_strata = len(occupied)
-    cells = (strata[:, None] * width + np.arange(width)).ravel()
-    counts = np.bincount(cells, weights=table.ravel(), minlength=n_strata * width)
-    return counts.reshape(n_strata, width)
+    return np.stack(
+        [np.bincount(strata, weights=cell, minlength=n_strata) for cell in table.T],
+        axis=1,
+    )
 
 
 def _marginal_level_counts(parents, parent_subsets, subsets):

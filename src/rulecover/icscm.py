@@ -8,22 +8,20 @@ independent of the environment given the other selected features.
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from .data import Conjunction
 from .errors import ConfigError, DataError
+from .icp import _count_table, _subset_counts, _unpack_keys
 from .scm import ScmConfig, _greedy_fit
-from .stats import (
-    _require_environments,
-    chi2_sf,
-    conditional_gtest,
-    independence_test,
-    joint_strata,
-    table_stats,
-)
+from .stats import _require_environments, chi2_sf, stratified_tests, table_stats
 
 # Not called here: the greedy engine in scm.py builds the candidates and
-# applies each appended rule, and the traced benchmark (perfbench/layers.py)
+# applies each appended rule, the stop test and pruning score count tables,
+# and icp.py numbers the strata. The traced benchmark (perfbench/layers.py)
 # rebinds these names on this module, so they stay importable from here.
 from .data import candidate_rules, prediction_matrix  # noqa: F401
+from .stats import conditional_gtest, independence_test, joint_strata  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,10 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted through De Morgan, as in ``scm_fit``.
     """
     _require_environments(dataset.envs)
+    table = _count_table(dataset, sort_wide=False)
     report = _greedy_fit(
         dataset,
+        table,
         rules,
         model_type,
         config.p,
@@ -79,23 +79,23 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
         stop_test=partial(_invariance_reached, config),
     )
     if config.prune and len(report.model) > 0:
-        model = prune(report.model, dataset, config.alpha)
+        model = prune(report.model, dataset, config.alpha, table=table)
         report = replace(
             report, model=model, selected_features=model.feature_indices()
         )
     return report
 
 
-def _first_invariant_leaf(config, counts, order):
+def _first_invariant_leaf(config, leaves, order):
     """The first candidate in ``order`` whose negative leaf passes the
     label/environment test, with its p-value; None when none passes.
 
-    ``counts`` holds every candidate's (label, env) leaf table. A leaf below
+    ``leaves`` holds every candidate's (label, env) leaf table. A leaf below
     ``min_leaf`` samples or with a degenerate table passes with p = 1.
     chi2_sf runs only until a candidate passes.
     """
-    leaf_sizes = counts.sum(axis=(1, 2))
-    stat, dof = table_stats(counts, config.test_method)
+    leaf_sizes = leaves.sum(axis=(1, 2))
+    stat, dof = table_stats(leaves, config.test_method)
     for r in order:
         p_value = 1.0
         if leaf_sizes[r] >= config.min_leaf and dof[r] > 0:
@@ -105,22 +105,27 @@ def _first_invariant_leaf(config, counts, order):
     return None
 
 
-def _invariance_reached(config, labels, envs):
-    """Stopping test on the samples not yet covered: (p-value, p > alpha)."""
-    if labels.size == 0:
+def _invariance_reached(config, left):
+    """Stopping test on the (2, k) label/environment table of the samples
+    not yet covered, with its empty env columns dropped: (p-value,
+    p > alpha)."""
+    table = left[:, left.any(axis=0)]
+    if table.size == 0:
         return 1.0, True
-    gamma = independence_test(labels, envs, method=config.test_method).p_value
+    gamma = stratified_tests(table[None, None], config.test_method)[0].p_value
     return gamma, gamma > config.alpha
 
 
-def prune(model, dataset, alpha):
+def prune(model, dataset, alpha, table=None):
     """Iteratively drop rules that are not needed for invariance.
 
     For each rule, test label-environment independence conditioned on the
     joint value of the features of the *other* rules; a p-value above alpha
     certifies the rule's feature is not a causal parent and the rule is
     removed. The scan restarts after each removal (the conditioning set has
-    changed) and repeats until a full pass removes nothing.
+    changed) and repeats until a full pass removes nothing. Each test sums
+    the strata from the dataset's count table (``icp._count_table``), which
+    a caller that already holds it passes as ``table``.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
@@ -131,17 +136,30 @@ def prune(model, dataset, alpha):
                 f"model rule {rule} names feature {rule.feature_index} of "
                 f"{dataset.n_features}-feature data"
             )
+    if table is None:
+        table = _count_table(dataset, sort_wide=False)
+    rows, counts = table
+    k = counts.shape[2]
+    flat = counts.reshape(len(rows), 2 * k).astype(np.float64)
+    # Every test conditions on some of the model's features, so the table is
+    # first summed over their 2**f joint values when those are fewer rows.
+    columns = sorted(model.feature_indices())
+    if 2 ** len(columns) <= len(rows):
+        flat = _subset_counts(flat, rows, columns)
+        rows = _unpack_keys(np.arange(2 ** len(columns)), len(columns))
+    else:
+        rows = rows[:, columns]
+    position = {feature: i for i, feature in enumerate(columns)}
     rules = list(model.rules)
-    labels, envs, features = dataset.labels, dataset.envs, dataset.features
     removed = True
     while removed and rules:
         removed = False
         for idx in range(len(rules)):
             remaining = {
-                r.feature_index for j, r in enumerate(rules) if j != idx
+                position[r.feature_index] for j, r in enumerate(rules) if j != idx
             }
-            strata = joint_strata(features, remaining)
-            result = conditional_gtest(labels, envs, strata)
+            strata = _subset_counts(flat, rows, remaining)
+            result = stratified_tests(strata.reshape(1, -1, 2, k))[0]
             if result.p_value > alpha:
                 del rules[idx]
                 removed = True

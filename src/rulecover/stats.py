@@ -222,9 +222,11 @@ def stratified_tests(counts, method="gtest"):
     order. That order fixes how the floating-point sum groups its terms, so
     equal tables give bit-identical p-values however the sets are batched.
     """
-    occupied = counts.any(axis=(2, 3))
-    stat, dof = table_stats(counts[occupied], method)
-    n_occupied = occupied.sum(axis=1)
+    n_sets, n_strata = counts.shape[:2]
+    tables = counts.reshape(n_sets * n_strata, *counts.shape[2:])
+    occupied = tables.any(axis=(1, 2))
+    stat, dof = table_stats(np.compress(occupied, tables, axis=0), method)
+    n_occupied = occupied.reshape(n_sets, n_strata).sum(axis=1)
     ends = np.cumsum(n_occupied)
     starts = ends - n_occupied
     dof_before = np.concatenate([[0], np.cumsum(dof)])
@@ -255,4 +257,9 @@ def joint_strata(features, feature_indices):
     if len(cols) > 62:
         raise DataError(f"cannot pack {len(cols)} features into stratum ids")
     weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)
+    if len(cols) <= 24:
+        # float32 sums of distinct powers of two below 2**24 are exact, and
+        # a float32 product is two to three times faster than an int64 one
+        packed = features[:, cols].astype(np.float32) @ weights.astype(np.float32)
+        return packed.astype(np.int64)
     return features[:, cols].astype(np.int64) @ weights

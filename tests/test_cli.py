@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rulecover import icp
+from rulecover import harness, icp
 from rulecover.cli import main, parse_parent_probs, parse_xb_sizes
 from rulecover.data import (
     Conjunction,
@@ -401,6 +401,20 @@ def test_unwritable_output_is_config_error(argv, sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert argv[-1] in err
+
+
+@pytest.mark.parametrize("command", ["experiment", "benchmark"])
+def test_grid_output_over_a_file_is_refused_before_any_cell(
+    command, tmp_path, monkeypatch, capsys
+):
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", cells.append)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [command, "--methods", "scm", "--xb", "1", "--samples", "200"]
+    assert main(argv + ["-o", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert cells == []
 
 
 def test_manifest_flag(sim_dir, tmp_path):

@@ -18,10 +18,30 @@ def _brute_leaf_counts(features, y, e, n_env, rules):
     return counts
 
 
-def _leaf_counts(features, y, e, n_env, rules):
+def _one_per_row(y, e, n_env):
+    """(m, 2, n_env) counts with one sample per row."""
+    counts = np.zeros((len(y), 2, n_env), dtype=np.int64)
+    counts[np.arange(len(y)), y, e] = 1
+    return counts
+
+
+def _leaf_counts(features, y, e, n_env, rules, counts=None):
+    """The kernel on one row per sample, or on ``counts`` per row."""
+    if counts is None:
+        counts = _one_per_row(y, e, n_env)
     index = [rule.feature_index for rule in rules]
     value = [rule.expected_value for rule in rules]
-    return kernels.leaf_label_env_counts(features, y, e, n_env, index, value)
+    return kernels.leaf_label_env_counts(features, counts, index, value)
+
+
+def _brute_weighted_leaf_counts(rows, counts, rules):
+    out = np.zeros((len(rules), 2, counts.shape[2]), dtype=np.int64)
+    for r, rule in enumerate(rules):
+        fired = evaluate(rule, rows)
+        for i in range(rows.shape[0]):
+            if fired[i] == 0:
+                out[r] += counts[i]
+    return out
 
 
 def _brute_stratified_counts(strata, n_strata, y, e, n_env):
@@ -69,6 +89,21 @@ def test_stratified_counts_match_brute_force(seed):
     assert np.array_equal(got, _brute_stratified_counts(strata, n_strata, y, e, n_env))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from([(1, 1), (8, 3), (40, 6)]))
+def test_weighted_leaf_counts_match_brute_force(seed, shape):
+    # rows with several samples each (the compressed count table), including
+    # rows whose counts are all zero and repeated rows
+    n_rows, d = shape
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, (n_rows, d), dtype=np.uint8)
+    counts = rng.integers(0, 6, (n_rows, 2, 3)) * (rng.random((n_rows, 1, 1)) < 0.8)
+    drawn = [Rule(int(j), int(v)) for j, v in rng.integers(0, [d, 2], size=(7, 2))]
+    for rules in (_both_polarities(d), drawn):
+        got = _leaf_counts(rows, None, None, None, rules, counts=counts)
+        assert np.array_equal(got, _brute_weighted_leaf_counts(rows, counts, rules))
+
+
 def test_python_backend_matches_brute_force():
     features, y, e, n_env = _random_case(123, m=500, d=12)
     rules = _both_polarities(12)
@@ -89,10 +124,13 @@ def test_leaf_counts_with_a_single_group_present():
 
 def test_input_validation():
     features, y, e, n_env = _random_case(1)
+    counts = _one_per_row(y, e, n_env)
     with pytest.raises(ValueError):
-        _leaf_counts(features, y[:-1], e, n_env, _both_polarities(5))
+        _leaf_counts(features, None, None, None, _both_polarities(5), counts[:-1])
     with pytest.raises(ValueError):
-        kernels.leaf_label_env_counts(features, y, e, n_env, [0, 1], [1])
+        kernels.leaf_label_env_counts(features, counts, [0, 1], [1])
+    with pytest.raises(ValueError):
+        kernels.leaf_label_env_counts(features, counts[:, 0], [0], [1])
     with pytest.raises(ValueError):
         kernels.stratified_label_env_counts(
             np.zeros(3, dtype=np.int64), 1, y[:2], e[:3], n_env

@@ -3,6 +3,7 @@ import pytest
 
 from rulecover.data import Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError, DataError
+from rulecover.icp import _count_table
 from rulecover.icscm import IcscmConfig, icscm_fit
 from rulecover import scm as scm_module
 from rulecover.scm import ScmConfig, scm_fit
@@ -196,9 +197,9 @@ def test_disjunction_fits_or_concept():
 @pytest.mark.parametrize("fit", ["scm", "icscm"])
 @pytest.mark.parametrize("model_type", ["conjunction", "disjunction"])
 def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
-    # Leaf tables come from feature column sums, so the engine applies only
-    # the rule it appends, never the whole candidate list, and only to the
-    # samples the rules before it kept.
+    # Leaf tables come from feature column sums over the count table's
+    # distinct rows, so the engine applies only the rule it appends, never
+    # the whole candidate list, and only to the rows the rules before it kept.
     calls = []
     inner = scm_module.prediction_matrix
 
@@ -217,4 +218,6 @@ def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
     assert len(report.per_iteration_log) >= 1
     n_rules, rows, kept = zip(*calls)
     assert n_rules == (1,) * len(report.per_iteration_log)
-    assert rows == (ds.n_samples,) + kept[:-1]
+    table_rows, _ = _count_table(ds, sort_wide=False, pool_envs=fit == "scm")
+    assert len(table_rows) < ds.n_samples
+    assert rows == (len(table_rows),) + kept[:-1]

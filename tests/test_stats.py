@@ -280,6 +280,15 @@ def test_joint_strata_packs_bits():
     assert joint_strata(X, [1]).tolist() == [0, 0, 1, 1]
     wide = np.ones((1, 63), dtype=np.uint8)
     assert joint_strata(wide, range(62)).tolist() == [2**62 - 1]
+    # every width on both sides of the 24 columns packed in float32
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 2, (50, 30), dtype=np.uint8)
+    X[0] = 1
+    for width in range(1, 31):
+        cols = rng.permutation(30)[:width].tolist()
+        bits = list(enumerate(sorted(cols)))
+        packed = [sum(int(row[c]) << i for i, c in bits) for row in X]
+        assert joint_strata(X, cols).tolist() == packed
     with pytest.raises(DataError, match="cannot pack 63 features"):
         joint_strata(wide, range(63))
 
