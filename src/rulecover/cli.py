@@ -90,8 +90,8 @@ def cmd_simulate(args):
     acc_parents, acc_child = oracle_accuracy(dataset, truth)
     print(f"wrote {csv_path} ({dataset.n_samples} rows, {dataset.n_features} features)")
     print(f"wrote {json_path}")
-    for j, name in enumerate(dataset.feature_names):
-        marginal = float(dataset.features[:, j].mean())
+    marginals = dataset.features.mean(axis=0).tolist()
+    for name, marginal in zip(dataset.feature_names, marginals):
         print(f"  P({name}=1) = {marginal:.4f}")
     print(f"  P(y=1) = {float(dataset.labels.mean()):.4f}")
     print(f"  P(y = parents' AND) = {acc_parents:.4f}")

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -239,21 +240,46 @@ def candidate_rules(dataset):
     return [Rule(int(j), value) for j in varying for value in (1, 0)]
 
 
+_LF = ord("\n")
+_ZERO = ord("0")
+_MAX_FAST_DIGITS = 18  # every 18-digit id is below 2**63, so needs no range check
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _csv_header(d):
+    return ",".join([f"x{j}" for j in range(d)] + ["y", "e"]) + "\n"
+
+
 def save_dataset_csv(dataset, path):
     """Write the canonical CSV form: header ``x0,...,x{d-1},y,e``, one sample
-    per row, ASCII digits, LF line endings.
+    per row, ASCII digits, LF line endings; ``load_dataset_csv`` reads it back
+    as a byte matrix when every env id has at most 18 digits.
 
-    The 0/1 columns and their commas are laid out as one uint8 byte matrix;
-    only the variable-width env id is formatted per row."""
-    m, d = dataset.features.shape
-    body = np.full((m, 2 * d + 2), ord(","), dtype=np.uint8)
-    np.add(dataset.features, ord("0"), out=body[:, 0 : 2 * d : 2])
-    np.add(dataset.labels, ord("0"), out=body[:, 2 * d])
-    header = ",".join([f"x{j}" for j in range(d)] + ["y", "e"]) + "\n"
+    The file is assembled in one uint8 buffer and written with one call: each
+    line's 0/1 fields and commas are scattered as a fixed-width block, and the
+    env ids' digits once per digit count."""
+    features, labels, envs = dataset.features, dataset.labels, dataset.envs
+    m, d = features.shape
+    fixed = 2 * d + 2
+    header = _csv_header(d).encode("ascii")
+    widths = np.searchsorted(_POW10[1:], envs, side="right") + 1
+    lengths = widths + (fixed + 1)
+    ends = np.cumsum(lengths) + len(header)
+    starts = ends - lengths
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    block = np.full((m, fixed), ord(","), dtype=np.uint8)
+    np.add(features, _ZERO, out=block[:, 0 : 2 * d : 2])
+    np.add(labels, _ZERO, out=block[:, 2 * d])
+    # every line is at least fixed + 2 bytes long, so the windows never overlap
+    sliding_window_view(out, fixed, writeable=True)[starts] = block
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        rows = np.flatnonzero(widths == width)
+        digits = envs[rows, None] // _POW10[width - 1 :: -1] % 10 + _ZERO
+        sliding_window_view(out, width, writeable=True)[starts[rows] + fixed] = digits
+    out[ends - 1] = _LF
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for row, env in zip(body, dataset.envs.tolist()):
-            fh.write(row.tobytes() + b"%d\n" % env)
+        fh.write(memoryview(out))
 
 
 def _csv_rows(fh, path):
@@ -268,7 +294,41 @@ def _csv_rows(fh, path):
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def load_dataset_csv(path):
+def _load_canonical(raw):
+    """The Dataset in a file in exactly the layout ``save_dataset_csv`` writes,
+    with env ids of at most 18 digits, else None."""
+    cut = raw.find(b"\n") + 1
+    d = raw.count(b",", 0, cut) - 1
+    if d < 1 or raw[:cut] != _csv_header(d).encode("ascii"):
+        return None
+    body = np.frombuffer(raw, dtype=np.uint8, offset=cut)
+    fixed = 2 * d + 2
+    if body.size == 0 or body[-1] != _LF:
+        return None
+    ends = np.flatnonzero(body == _LF)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts - fixed
+    if widths.min() < 1 or widths.max() > _MAX_FAST_DIGITS:
+        return None
+    # bytes below '0' wrap around to large values in the uint8 subtraction
+    block = sliding_window_view(body, fixed)[starts]
+    bits = block[:, 0::2] - np.uint8(_ZERO)
+    if bits.max() > 1 or (block[:, 1::2] != ord(",")).any():
+        return None
+    envs = np.empty(len(ends), dtype=np.int64)
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        rows = np.flatnonzero(widths == width)
+        digits = sliding_window_view(body, width)[starts[rows] + fixed]
+        digits = digits - np.uint8(_ZERO)
+        if digits.max() > 9:
+            return None
+        envs[rows] = digits @ _POW10[width - 1 :: -1]
+    return Dataset(features=bits[:, :d], labels=bits[:, d], envs=envs)
+
+
+def _load_csv_module(path):
     """One pass of the ``csv`` module; each row's 0/1 fields are checked by
     one set test and kept as a string of bits for one ``np.frombuffer``. Env
     ids are ASCII decimal digits below 2**63."""
@@ -323,6 +383,24 @@ def load_dataset_csv(path):
         envs=np.array(envs, dtype=np.int64),
         feature_names=names,
     )
+
+
+def load_dataset_csv(path):
+    """The Dataset in a CSV file, raising DataError for a file it cannot read
+    or a row it refuses.
+
+    The file is read once as bytes. One in the layout ``save_dataset_csv``
+    writes, with env ids of at most 18 digits, is parsed as a byte matrix;
+    any other goes whole to the ``csv``-module loader, which accepts CRLF,
+    quotes, blank lines and wider ids. Both accept the same input and raise
+    the same errors."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    dataset = _load_canonical(raw)
+    return _load_csv_module(path) if dataset is None else dataset
 
 
 def write_json(path, doc):

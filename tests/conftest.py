@@ -23,8 +23,8 @@ def evaluate(rule, features):
 
 
 def load_dataset_csv_reference(path):
-    """Field-by-field reference for ``data.load_dataset_csv``. It parses env
-    ids with ``int()``, so it is looser than the loader on those."""
+    """Field-by-field reference for ``data.load_dataset_csv``: the same
+    accepted input and the same error messages, one field at a time."""
     path = Path(path)
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -60,22 +60,16 @@ def load_dataset_csv_reference(path):
                 raise DataError(
                     f"{path}:{lineno}: column 'y': expected 0/1, got {row[d]!r}"
                 )
-            try:
-                env = int(row[d + 1])
-            except ValueError:
+            env = row[d + 1]
+            digits = env and all("0" <= c <= "9" for c in env)
+            if not digits or int(env) >= 2**63:
                 raise DataError(
-                    f"{path}:{lineno}: column 'e': expected an integer, "
-                    f"got {row[d + 1]!r}"
-                ) from None
-            if env < 0:
-                raise DataError(f"{path}:{lineno}: column 'e': negative env id {env}")
-            if env >= 2**63:
-                raise DataError(
-                    f"{path}:{lineno}: column 'e': env id {env} exceeds 2**63 - 1"
+                    f"{path}:{lineno}: column 'e': expected an integer in "
+                    f"[0, 2**63), got {env!r}"
                 )
             features.append(feat_row)
             labels.append(int(row[d]))
-            envs.append(env)
+            envs.append(int(env))
     if not features:
         raise DataError(f"{path}: no data rows")
     return Dataset(
@@ -84,6 +78,20 @@ def load_dataset_csv_reference(path):
         envs=np.array(envs, dtype=np.int64),
         feature_names=names,
     )
+
+
+def save_dataset_csv_reference(dataset, path):
+    """Per-row reference for ``data.save_dataset_csv``: the 0/1 columns as one
+    byte matrix, then one ``write`` per row with the env id formatted."""
+    m, d = dataset.features.shape
+    body = np.full((m, 2 * d + 2), ord(","), dtype=np.uint8)
+    np.add(dataset.features, ord("0"), out=body[:, 0 : 2 * d : 2])
+    np.add(dataset.labels, ord("0"), out=body[:, 2 * d])
+    header = ",".join([f"x{j}" for j in range(d)] + ["y", "e"]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for row, env in zip(body, dataset.envs.tolist()):
+            fh.write(row.tobytes() + b"%d\n" % env)
 
 
 def n_distinct_envs(dataset):

@@ -56,6 +56,24 @@ def test_simulate_writes_expected_rows(sim_dir, capsys):
     assert truth["ground_truth"]["parent_indices"] == [0, 1]
 
 
+def test_simulate_stdout(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["simulate", "--xb", "2", "--seed", "7", "--samples", "1500",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'dataset.csv'} (3000 rows, 5 features)\n"
+        f"wrote {out / 'ground_truth.json'}\n"
+        "  P(parent_1=1) = 0.3120\n"
+        "  P(parent_2=1) = 0.3910\n"
+        "  P(distractor_1=1) = 0.5040\n"
+        "  P(distractor_2=1) = 0.4950\n"
+        "  P(child=1) = 0.1627\n"
+        "  P(y=1) = 0.1390\n"
+        "  P(y = parents' AND) = 0.9527\n"
+        "  P(y = child) = 0.9717\n"
+    )
+
+
 def test_simulate_single_env_refused(tmp_path, capsys):
     code = main(["simulate", "--n-env", "1", "-o", str(tmp_path / "x")])
     assert code == 2

@@ -1,11 +1,16 @@
 import csv
+import errno
 import io
 import itertools
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rulecover import data
 from rulecover.data import (
     Conjunction,
     Dataset,
@@ -19,7 +24,11 @@ from rulecover.data import (
 )
 from rulecover.errors import DataError
 
-from conftest import evaluate, load_dataset_csv_reference
+from conftest import (
+    evaluate,
+    load_dataset_csv_reference,
+    save_dataset_csv_reference,
+)
 
 
 def test_rule_evaluate_truth():
@@ -270,23 +279,32 @@ def test_csv_bad_header(tmp_path):
         load_dataset_csv(path)
 
 
-_DEVIATIONS = ("crlf", "quoted", "blank", "ragged", "bad_bit", "header")
+_DEVIATIONS = (
+    "crlf", "quoted", "blank", "ragged", "bad_bit", "header", "byte",
+    "no_final_lf", "bom", "lone_cr",
+)
+
+
+def _env_ids(max_width):
+    """Env ids of 1 to ``max_width`` digits, zero-padded to the drawn width."""
+    return st.builds(
+        lambda width, value: str(value % 10**width).zfill(width),
+        st.integers(1, max_width),
+        st.sampled_from([0, 7, 9, 10, 999, 10**18, 2**63 - 1]) | st.integers(0, 2**64),
+    )
 
 
 @st.composite
 def _csv_texts(draw):
     """A dataset CSV in canonical form, then altered by a random subset of
-    _DEVIATIONS. Env ids stay ASCII digits, where both loaders agree."""
+    _DEVIATIONS. Env ids are zero-padded to 1-18 digits in one file out of
+    three; in the others they may run to 19 or 40 digits, which the canonical
+    form leaves to the ``csv`` module."""
     d = draw(st.integers(1, 4))
-    # leading zeros may take a valid id past 18 digits
-    env = st.builds(
-        lambda zeros, value: "0" * zeros + str(value),
-        st.sampled_from([0, 0, 1, 20]),
-        st.sampled_from([0, 7, 999]) | st.integers(0, 2**63 - 1),
-    )
+    env = _env_ids(draw(st.sampled_from([18, 19, 40])))
     bit = st.sampled_from("01")
     lines = [[f"x{j}" for j in range(d)] + ["y", "e"]]
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 24))):
         lines.append([draw(bit) for _ in range(d + 1)] + [draw(env)])
     deviations = draw(st.sets(st.sampled_from(_DEVIATIONS), max_size=2))
     if "header" in deviations:
@@ -296,6 +314,20 @@ def _csv_texts(draw):
         lines[row][draw(st.integers(0, d))] = draw(
             st.sampled_from(["2", "", " 1", "01", "x", "1.0", "\u0661"])
         )
+    if "byte" in deviations and len(lines) > 1:
+        # one bit, comma or env digit of a data row becomes a byte just below
+        # '0', one just above '9', a space or a NUL
+        row = lines[draw(st.integers(1, len(lines) - 1))]
+        byte = draw(st.sampled_from("/: \x00"))
+        slot = draw(st.sampled_from(["bit", "comma", "digit"]))
+        if slot == "bit":
+            row[draw(st.integers(0, d))] = byte
+        elif slot == "comma":
+            j = draw(st.integers(0, d))
+            row[j : j + 2] = [row[j] + byte + row[j + 1]]
+        else:
+            k = draw(st.integers(0, len(row[-1]) - 1))
+            row[-1] = row[-1][:k] + byte + row[-1][k + 1 :]
     if "ragged" in deviations and len(lines) > 1:
         row = lines[draw(st.integers(1, len(lines) - 1))]
         if draw(st.booleans()):
@@ -312,7 +344,34 @@ def _csv_texts(draw):
         for _ in range(draw(st.integers(1, 3))):
             text.insert(draw(st.integers(1, len(text))), "")
     newline = "\r\n" if "crlf" in deviations else "\n"
-    return newline.join(text) + newline
+    text = newline.join(text) + newline
+    if "no_final_lf" in deviations:
+        text = text[:-1]
+    if "lone_cr" in deviations:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + "\r" + text[k:]
+    if "bom" in deviations:
+        text = "\ufeff" + text
+    return text
+
+
+def _is_canonical(raw):
+    """Whether a file has exactly the layout ``save_dataset_csv`` writes, with
+    env ids of at most 18 digits: the files the loader reads from bytes."""
+    header, _, body = raw.partition(b"\n")
+    d = header.count(b",") - 1
+    names = b",".join([b"x%d" % j for j in range(d)] + [b"y", b"e"])
+    line = rb"(?:[01],){%d}[0-9]{1,18}\n" % (d + 1)
+    pattern = rb"(?:%s)+" % line
+    return d >= 1 and header == names and re.fullmatch(pattern, body) is not None
+
+
+class _FallbackReached(Exception):
+    pass
+
+
+def _refuse_csv_rows(fh, path):
+    raise _FallbackReached
 
 
 def _load_outcome(loader, path):
@@ -337,6 +396,129 @@ def test_loader_matches_field_by_field_reference(scratch_csv, text):
     assert _load_outcome(load_dataset_csv, scratch_csv) == _load_outcome(
         load_dataset_csv_reference, scratch_csv
     )
+
+
+@given(_csv_texts())
+def test_loader_reads_exactly_the_canonical_files_from_bytes(scratch_csv, text):
+    raw = text.encode("utf-8")
+    scratch_csv.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csv_rows", _refuse_csv_rows)
+        if _is_canonical(raw):
+            load_dataset_csv(scratch_csv)
+        else:
+            with pytest.raises(_FallbackReached):
+                load_dataset_csv(scratch_csv)
+
+
+_CANONICAL = b"x0,x1,y,e\n0,1,1,7\n1,0,0,012\n1,1,0,999999999999999999\n"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _CANONICAL.replace(b"\n", b"\r\n"),
+        _CANONICAL.replace(b"0,1,1,7", b'"0",1,1,7'),
+        _CANONICAL + b"\n",
+        b"\xef\xbb\xbf" + _CANONICAL,
+        _CANONICAL + b"0,0,1,1000000000000000000\n",
+        _CANONICAL + b"0,0,1,9223372036854775807\n",
+        _CANONICAL + b"0,0,1,0000000000000000007\n",
+        _CANONICAL + b"0,0,1,7,1\n",
+        _CANONICAL + b"0,0,1\n",
+        _CANONICAL + b"0,2,1,7\n",
+        _CANONICAL[:-1],
+        _CANONICAL.replace(b"0,1,1,7", b"0,1,1\r7"),
+        _CANONICAL + b"0,0,1,+7\n",
+        _CANONICAL.replace(b"x0,x1", b"x1,x0"),
+        b"x0,x1,y,e\n",
+    ]
+    + [
+        _CANONICAL + row.replace(b"?", byte)
+        for byte in (b"/", b":", b" ", b"\x00")
+        for row in (b"?,0,1,7\n", b"0?0,1,7\n", b"0,0,1,?\n", b"0,0,1,1?\n")
+    ],
+)
+def test_loader_falls_back_to_csv_module_on_any_deviation(tmp_path, raw):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_CANONICAL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csv_rows", _refuse_csv_rows)
+        load_dataset_csv(path)
+        path.write_bytes(raw)
+        with pytest.raises(_FallbackReached):
+            load_dataset_csv(path)
+    assert _load_outcome(load_dataset_csv, path) == _load_outcome(
+        load_dataset_csv_reference, path
+    )
+
+
+def test_csv_missing_file_message(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(DataError) as info:
+        load_dataset_csv(path)
+    assert str(info.value) == (
+        f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    )
+
+
+def test_csv_directory_message(tmp_path):
+    with pytest.raises(DataError) as info:
+        load_dataset_csv(tmp_path)
+    assert str(info.value) == (
+        f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    )
+
+
+def test_csv_unreadable_file_message(tmp_path, monkeypatch):
+    path = tmp_path / "locked.csv"
+    path.write_bytes(_CANONICAL)
+    path.chmod(0)
+    if os.access(path, os.R_OK):  # a superuser reads past the mode bits
+        def denied(self):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+    with pytest.raises(DataError) as info:
+        load_dataset_csv(path)
+    assert str(info.value) == (
+        f"cannot read {path}: [Errno 13] Permission denied: '{path}'"
+    )
+
+
+_ENV_EDGES = [0, 9, 10, 10**18 - 1, 10**18, 2**63 - 1]
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.sampled_from(_ENV_EDGES)
+        | st.integers(1, 19).flatmap(
+            lambda width: st.integers(10 ** (width - 1), min(10**width, 2**63) - 1)
+        ),
+        min_size=1,
+    ),
+)
+def test_csv_writer_matches_per_row_reference(scratch_csv, m, d, seed, env_ids):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(
+        features=rng.integers(0, 2, (m, d)),
+        labels=rng.integers(0, 2, m),
+        envs=[env_ids[i % len(env_ids)] for i in range(m)],
+    )
+    reference = scratch_csv.with_name("reference.csv")
+    save_dataset_csv_reference(ds, reference)
+    save_dataset_csv(ds, scratch_csv)
+    assert scratch_csv.read_bytes() == reference.read_bytes()
+    with pytest.MonkeyPatch.context() as patch:
+        if ds.envs.max() < 10**18:
+            patch.setattr(data, "_csv_rows", _refuse_csv_rows)
+        loaded = load_dataset_csv(scratch_csv)
+    assert np.array_equal(loaded.features, ds.features)
+    assert np.array_equal(loaded.labels, ds.labels)
+    assert np.array_equal(loaded.envs, ds.envs)
 
 
 def test_model_json_round_trip(tmp_path):
