@@ -1,12 +1,20 @@
 """Command-line surface: simulate, fit, prune, icp, experiment, benchmark.
 
+Every flag that sets a config field is stored under that field's name and
+has no default of its own: ``_config`` passes a config dataclass only the
+flags given, so each hyperparameter default is the one SimConfig, ScmConfig,
+IcscmConfig, IcpConfig or ExperimentGrid declares; benchmark's --xb alone
+keeps its own (2..10). The flags that set no config field keep their own
+defaults: --data, --model, -o/--out, --manifest, --force, --method,
+--model-type, --plot-data and benchmark's --repeats.
+
 Exit codes: 0 success, 2 usage/config error or unwritable output, 3 data
 error, 4 refused as infeasible. All randomness flows from --seed.
 """
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .data import load_dataset_csv, load_model_json, save_model_json, write_json
@@ -61,19 +69,17 @@ def parse_parent_probs(text):
     return tuple(rows)
 
 
+def _config(cls, args, **fixed):
+    """``cls`` from the flags named after its fields that were given (not
+    None), overridden by ``fixed``; every other field keeps its default."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    given = {k: v for k, v in given.items() if v is not None}
+    return cls(**{**given, **fixed})
+
+
 def cmd_simulate(args):
-    config = SimConfig(
-        n_envs=args.n_env,
-        n_samples_per_env=args.samples,
-        n_distractors=args.xb,
-        eps_y=args.eps_y,
-        eps_child=args.eps_child,
-        eps_distractor=args.eps_distractor,
-        parent_probs=parse_parent_probs(args.parent_probs)
-        if args.parent_probs
-        else None,
-        seed=args.seed,
-    )
+    probs = parse_parent_probs(args.parent_probs) if args.parent_probs else None
+    config = _config(SimConfig, args, parent_probs=probs)
     if config.n_envs < 2:
         if not args.force:
             raise ConfigError(
@@ -122,22 +128,19 @@ def _print_fit_report(dataset, report):
         print(line)
 
 
-# Only icscm reads these flags. They default to None, so that --method scm
-# can refuse them and icscm takes the IcscmConfig defaults.
-_ICSCM_FLAGS = ("alpha", "min_leaf", "test_method", "prune")
-
-
 def cmd_fit(args):
-    given = {k: getattr(args, k) for k in _ICSCM_FLAGS if getattr(args, k) is not None}
     if args.method == "scm":
-        if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in given)
-            raise ConfigError(f"--method scm does not use {flags}")
-        config = ScmConfig(p=args.p, max_rules=args.max_rules)
-        fit = scm_fit
+        shared = {f.name for f in fields(ScmConfig)}
+        refused = [
+            "--" + f.name.replace("_", "-")
+            for f in fields(IcscmConfig)
+            if f.name not in shared and getattr(args, f.name) is not None
+        ]
+        if refused:
+            raise ConfigError(f"--method scm does not use {', '.join(refused)}")
+        config, fit = _config(ScmConfig, args), scm_fit
     else:
-        config = IcscmConfig(p=args.p, max_rules=args.max_rules, **given)
-        fit = icscm_fit
+        config, fit = _config(IcscmConfig, args), icscm_fit
     dataset = load_dataset_csv(args.data)
     report = fit(dataset, config, model_type=args.model_type)
     _print_fit_report(dataset, report)
@@ -161,7 +164,8 @@ def cmd_fit(args):
 def cmd_prune(args):
     dataset = load_dataset_csv(args.data)
     model, _ = load_model_json(args.model)
-    pruned = prune(model, dataset, args.alpha)
+    alpha = IcscmConfig.alpha if args.alpha is None else args.alpha
+    pruned = prune(model, dataset, alpha)
     kept = ", ".join(str(r) for r in pruned.rules) or "(empty model)"
     dropped = [str(r) for r in model.rules if r not in pruned.rules]
     print(f"kept: {kept}")
@@ -172,17 +176,9 @@ def cmd_prune(args):
     return 0
 
 
-def _icp_config(args):
-    return IcpConfig(
-        alpha=args.alpha,
-        max_subset_size=args.max_subset_size,
-        min_samples_per_cell=args.min_cell,
-    )
-
-
 def cmd_icp(args):
     dataset = load_dataset_csv(args.data)
-    config = _icp_config(args)
+    config = _config(IcpConfig, args)
     report = icp_report(dataset, config)
     selected = sorted(report.selected)
     n_accepted = sum(t.accepted for t in report.tests)
@@ -206,30 +202,25 @@ def cmd_icp(args):
     return 0
 
 
-def _build_grid(args, record_timings=True):
-    base_sim = SimConfig(
-        n_envs=args.n_env,
-        n_samples_per_env=args.samples,
-        seed=0,
-    )
-    return ExperimentGrid(
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        xb_sizes=parse_xb_sizes(args.xb),
-        n_runs=getattr(args, "runs", 1),
-        master_seed=args.seed,
-        base_sim=base_sim,
-        scm_config=ScmConfig(p=args.p, max_rules=args.max_rules),
-        icscm_config=IcscmConfig(
-            p=args.p, max_rules=args.max_rules, alpha=args.alpha
-        ),
-        icp_config=_icp_config(args),
-        record_timings=record_timings,
-        jobs=getattr(args, "jobs", 1),
+def _build_grid(args):
+    lists = {}
+    if args.methods is not None:
+        lists["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.xb_sizes is not None:
+        lists["xb_sizes"] = parse_xb_sizes(args.xb_sizes)
+    return _config(
+        ExperimentGrid,
+        args,
+        **lists,
+        base_sim=_config(SimConfig, args),
+        scm_config=_config(ScmConfig, args),
+        icscm_config=_config(IcscmConfig, args),
+        icp_config=_config(IcpConfig, args),
     )
 
 
 def cmd_experiment(args):
-    grid = _build_grid(args, record_timings=not args.no_timing)
+    grid = _build_grid(args)
     results = run_identification(grid, out_dir=args.out, plot_data=args.plot_data)
     for row in summarize(results):
         print(
@@ -256,28 +247,28 @@ def cmd_benchmark(args):
 
 
 def _add_sim_flags(parser):
-    parser.add_argument("--samples", type=int, default=10000,
-                        help="samples per environment (default 10000)")
-    parser.add_argument("--n-env", type=int, default=2,
-                        help="number of environments (default 2)")
+    parser.add_argument(
+        "--samples", dest="n_samples_per_env", type=int,
+        help=f"samples per environment (default {SimConfig.n_samples_per_env})")
+    parser.add_argument("--n-env", dest="n_envs", type=int,
+                        help=f"number of environments (default {SimConfig.n_envs})")
 
 
 def _add_fit_hyper_flags(parser):
-    parser.add_argument("--p", type=float, default=1.0,
+    parser.add_argument("--p", type=float,
                         help="utility penalty on misclassified positives")
-    parser.add_argument("--max-rules", type=int, default=10)
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="independence-test threshold")
+    parser.add_argument("--max-rules", type=int)
+    parser.add_argument("--alpha", type=float, help="independence-test threshold")
 
 
 def _add_grid_flags(parser):
     """The flags experiment and benchmark share."""
-    parser.add_argument("--methods", default="scm,icscm,icp")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--methods")
+    parser.add_argument("--seed", dest="master_seed", type=int)
     _add_sim_flags(parser)
     _add_fit_hyper_flags(parser)
-    parser.add_argument("--max-subset-size", type=int, default=None)
-    parser.add_argument("--min-cell", type=int, default=10)
+    parser.add_argument("--max-subset-size", type=int)
+    parser.add_argument("--min-cell", dest="min_samples_per_cell", type=int)
     parser.add_argument("-o", "--out", required=True)
 
 
@@ -290,15 +281,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a benchmark dataset")
-    p.add_argument("--xb", type=int, default=3, help="number of distractor features")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--xb", dest="n_distractors", type=int,
+                   help="number of distractor features")
+    p.add_argument("--seed", type=int)
     _add_sim_flags(p)
-    p.add_argument("--eps-y", type=float, default=0.05, help="label flip probability")
-    p.add_argument("--eps-child", type=float, default=0.05,
+    p.add_argument("--eps-y", type=float, help="label flip probability")
+    p.add_argument("--eps-child", type=float,
                    help="probability the child records the environment instead of y")
-    p.add_argument("--eps-distractor", type=float, default=0.5,
-                   help="P(distractor = 1)")
-    p.add_argument("--parent-probs", default=None,
+    p.add_argument("--eps-distractor", type=float, help="P(distractor = 1)")
+    p.add_argument("--parent-probs",
                    help="per-env parent marginals, e.g. '0.1,0.5;0.5,0.3'")
     p.add_argument("--force", action="store_true",
                    help="allow single-environment data")
@@ -314,7 +305,6 @@ def build_parser():
     p.add_argument("--test-method", choices=("chi2", "gtest"))
     p.add_argument("--prune", dest="prune", action="store_true", default=None)
     p.add_argument("--no-prune", dest="prune", action="store_false")
-    p.set_defaults(alpha=None)
     p.add_argument("--model-type", choices=("conjunction", "disjunction"),
                    default="conjunction")
     p.add_argument("-o", "--out", default=None, help="model JSON path")
@@ -324,33 +314,34 @@ def build_parser():
     p = sub.add_parser("prune", help="prune a fitted model against a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("icp", help="exhaustive invariant-subset baseline")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-subset-size", type=int, default=None)
-    p.add_argument("--min-cell", type=int, default=10,
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--max-subset-size", type=int)
+    p.add_argument("--min-cell", dest="min_samples_per_cell", type=int,
                    help="required samples per cell before a subset is testable")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_icp)
 
     p = sub.add_parser("experiment", help="identification-rate grid")
     _add_grid_flags(p)
-    p.add_argument("--xb", default="1..7", help="distractor sizes, e.g. '1..7'")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--xb", dest="xb_sizes", help="distractor sizes, e.g. '1..7'")
+    p.add_argument("--runs", dest="n_runs", type=int)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--plot-data", action="store_true",
                    help="also emit tidy per-figure CSVs")
-    p.add_argument("--no-timing", action="store_true",
+    p.add_argument("--no-timing", dest="record_timings", action="store_false",
+                   default=None,
                    help="write wall_time_s as 0 for byte-identical re-runs")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("benchmark", help="runtime curves per method")
     _add_grid_flags(p)
-    p.add_argument("--xb", default="2..10")
+    p.add_argument("--xb", dest="xb_sizes", default="2..10")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_benchmark)
 

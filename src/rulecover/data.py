@@ -2,6 +2,7 @@
 fit reports, plus their CSV/JSON serialization."""
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -328,16 +329,11 @@ def _load_canonical(raw):
     return Dataset(features=bits[:, :d], labels=bits[:, d], envs=envs)
 
 
-def _load_csv_module(path):
-    """One pass of the ``csv`` module; each row's 0/1 fields are checked by
-    one set test and kept as a string of bits for one ``np.frombuffer``. Env
-    ids are ASCII decimal digits below 2**63."""
-    path = Path(path)
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
+def _load_csv_module(raw, path):
+    """One pass of the ``csv`` module over the file's bytes ``raw``; each
+    row's 0/1 fields are checked by one set test and kept as a string of bits
+    for one ``np.frombuffer``. Env ids are ASCII decimal digits below 2**63."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = _csv_rows(fh, path)
         try:
             header = next(reader)
@@ -400,7 +396,7 @@ def load_dataset_csv(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     dataset = _load_canonical(raw)
-    return _load_csv_module(path) if dataset is None else dataset
+    return _load_csv_module(raw, path) if dataset is None else dataset
 
 
 def write_json(path, doc):

@@ -84,6 +84,9 @@ class ExperimentGrid:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        invariant = ", ".join(m for m in self.methods if m != "scm")
+        if invariant and self.base_sim.n_envs < 2:
+            raise ConfigError(f"{invariant} need >= 2 environments, got 1")
 
 
 @dataclass(frozen=True)

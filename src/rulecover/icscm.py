@@ -25,27 +25,23 @@ from .stats import conditional_gtest, independence_test, joint_strata  # noqa: F
 
 
 @dataclass(frozen=True)
-class IcscmConfig:
-    """Hyperparameters of the invariance-filtered learner.
-
-    p, max_rules: as in ScmConfig, which checks them. alpha: threshold on
-    independence-test p-values, both for the per-rule leaf filter and the
-    stopping test. min_leaf: leaves smaller than this are treated as
-    degenerate (p = 1, not refutable); the asymptotic chi-square null is
-    meaningless on a handful of samples. test_method: 'chi2' or 'gtest' for
-    the leaf and stopping tests. prune: apply the conditional G-test pruning
-    pass to the fitted model.
+class IcscmConfig(ScmConfig):
+    """Hyperparameters of the invariance-filtered learner: ScmConfig's p and
+    max_rules, plus these. alpha: threshold on independence-test p-values,
+    both for the per-rule leaf filter and the stopping test. min_leaf: leaves
+    smaller than this are treated as degenerate (p = 1, not refutable); the
+    asymptotic chi-square null is meaningless on a handful of samples.
+    test_method: 'chi2' or 'gtest' for the leaf and stopping tests. prune:
+    apply the conditional G-test pruning pass to the fitted model.
     """
 
-    p: float = 1.0
-    max_rules: int = 10
     alpha: float = 0.05
     min_leaf: int = 10
     test_method: str = "chi2"
     prune: bool = True
 
     def __post_init__(self):
-        ScmConfig(self.p, self.max_rules)
+        super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.min_leaf < 1:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from rulecover.data import (
     save_model_json,
 )
 from rulecover.errors import ConfigError
+from rulecover.harness import ExperimentGrid
 from rulecover.icp import IcpConfig, icp_report
+from rulecover.icscm import IcscmConfig
+from rulecover.scm import ScmConfig
+from rulecover.simulator import SimConfig
 
 from conftest import no_enumeration
 
@@ -205,6 +210,24 @@ def test_fit_scm_refuses_icscm_flags(sim_dir, flags, capsys):
     )
     assert code == 2
     assert "--method scm does not use" in capsys.readouterr().err
+
+
+_SCM_FIELDS = {f.name for f in fields(ScmConfig)}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f for f in fields(IcscmConfig) if f.name not in _SCM_FIELDS],
+    ids=lambda f: f.name,
+)
+def test_fit_scm_refuses_every_icscm_only_field(sim_dir, field, capsys):
+    flag = "--" + field.name.replace("_", "-")
+    value = [] if isinstance(field.default, bool) else [str(field.default)]
+    argv = ["fit", "--data", str(sim_dir / "dataset.csv"), flag] + value
+    assert main(argv + ["--method", "icscm"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--method", "scm"]) == 2
+    assert capsys.readouterr().err == f"error: --method scm does not use {flag}\n"
 
 
 @pytest.mark.parametrize("method", ["scm", "icscm"])
@@ -433,6 +456,56 @@ def test_grid_output_over_a_file_is_refused_before_any_cell(
     assert main(argv + ["-o", str(taken)]) == 2
     assert str(taken) in capsys.readouterr().err
     assert cells == []
+
+
+def test_manifests_record_config_defaults(sim_dir, tmp_path):
+    manifest = tmp_path / "simulate.json"
+    assert main(["simulate", "-o", str(tmp_path / "sim"), "--manifest",
+                 str(manifest)]) == 0
+    assert json.loads(manifest.read_text()) == json.loads(
+        json.dumps({"command": "simulate", **asdict(SimConfig())})
+    )
+    manifest = tmp_path / "fit.json"
+    data = str(sim_dir / "dataset.csv")
+    assert main(["fit", "--data", data, "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text()) == {
+        "command": "fit", "method": "icscm", "data": data,
+        "model_type": "conjunction", **asdict(IcscmConfig()),
+    }
+
+
+def test_experiment_manifest_records_grid_defaults(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_run_cell", lambda task: [])
+    out = tmp_path / "exp"
+    assert main(["experiment", "--seed", "5", "--no-timing", "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    grid = ExperimentGrid(master_seed=5, record_timings=False)
+    expected = json.loads(json.dumps(asdict(grid)))
+    assert {k: manifest[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("command", ["experiment", "benchmark"])
+@pytest.mark.parametrize("methods", ["scm,icscm", "icscm_noprune", "scm,icp"])
+def test_single_environment_grid_is_refused_before_any_cell(
+    command, methods, tmp_path, monkeypatch, capsys
+):
+    def run_cell(task):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    out = tmp_path / "one"
+    argv = [command, "--n-env", "1", "--methods", methods, "--xb", "1..2",
+            "--samples", "200", "-o", str(out)]
+    assert main(argv) == 2
+    assert "need >= 2 environments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_environment_scm_grid_runs(tmp_path):
+    out = tmp_path / "one"
+    assert main(["experiment", "--n-env", "1", "--methods", "scm", "--xb", "1",
+                 "--runs", "2", "--samples", "200", "-o", str(out)]) == 0
+    assert len((out / "identification.csv").read_text().splitlines()) == 3
 
 
 def test_manifest_flag(sim_dir, tmp_path):

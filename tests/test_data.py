@@ -486,6 +486,21 @@ def test_csv_unreadable_file_message(tmp_path, monkeypatch):
     )
 
 
+def test_csv_fallback_parses_the_bytes_read_once(tmp_path, monkeypatch):
+    # A pipe yields its bytes once: a second open of the path reads nothing.
+    crlf = _CANONICAL.replace(b"\n", b"\r\n")
+    on_disk = tmp_path / "crlf.csv"
+    on_disk.write_bytes(crlf)
+    expected = _load_outcome(load_dataset_csv, on_disk)
+    assert isinstance(expected, tuple)
+    piped = tmp_path / "pipe.csv"
+    monkeypatch.setattr(
+        Path, "read_bytes", lambda self: crlf if self == piped else b""
+    )
+    assert not piped.exists()
+    assert _load_outcome(load_dataset_csv, piped) == expected
+
+
 _ENV_EDGES = [0, 9, 10, 10**18 - 1, 10**18, 2**63 - 1]
 
 

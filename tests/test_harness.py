@@ -59,6 +59,16 @@ def test_repeated_method_is_refused(methods):
         ExperimentGrid(methods=methods, n_runs=2)
 
 
+@pytest.mark.parametrize("method", ["icscm", "icscm_noprune", "icp"])
+def test_single_environment_grid_needs_scm_only(method):
+    one_env = SimConfig(n_envs=1)
+    with pytest.raises(ConfigError, match=f"^{method} need >= 2 environments"):
+        ExperimentGrid(methods=(method,), base_sim=one_env)
+    with pytest.raises(ConfigError, match=f"^{method} need >= 2 environments"):
+        ExperimentGrid(methods=("scm", method), base_sim=one_env)
+    ExperimentGrid(methods=("scm",), base_sim=one_env)
+
+
 def test_precision_recall_conventions():
     assert precision_recall(set(), {0, 1}) == (1.0, 0.0)
     assert precision_recall({0, 1}, {0, 1}) == (1.0, 1.0)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ def test_config_validation():
         IcscmConfig(min_leaf=0)
     with pytest.raises(ConfigError):
         IcscmConfig(test_method="fisher")
+
+
+def test_config_extends_scm_config():
+    assert issubclass(IcscmConfig, ScmConfig)
+    assert list(asdict(IcscmConfig())) == list(asdict(ScmConfig())) + [
+        "alpha", "min_leaf", "test_method", "prune"
+    ]
+    for bad in ({"p": 0}, {"max_rules": 0}):
+        with pytest.raises(ConfigError) as scm_error:
+            ScmConfig(**bad)
+        with pytest.raises(ConfigError) as icscm_error:
+            IcscmConfig(**bad)
+        assert str(icscm_error.value) == str(scm_error.value)
 
 
 def test_single_environment_rejected():
