@@ -4,7 +4,8 @@ fit reports, plus their CSV/JSON serialization."""
 import csv
 import io
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -26,6 +27,12 @@ class Rule:
     expected_value: int
 
     def __post_init__(self):
+        for name in ("feature_index", "expected_value"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DataError(f"{name} must be an integer, got {value!r}") from None
         if self.feature_index < 0:
             raise DataError(f"feature_index must be >= 0, got {self.feature_index}")
         if self.expected_value not in (0, 1):
@@ -65,11 +72,7 @@ class Conjunction:
     def to_dict(self, stop_reason=None):
         doc = {
             "model_type": "disjunction" if self.is_disjunction else "conjunction",
-            "rules": [
-                {"feature_index": int(r.feature_index),
-                 "expected_value": int(r.expected_value)}
-                for r in self.rules
-            ],
+            "rules": [asdict(rule) for rule in self.rules],
         }
         if stop_reason is not None:
             doc["stop_reason"] = str(
@@ -225,19 +228,11 @@ def prediction_matrix(features, rules):
 def candidate_rules(dataset):
     """The 2-per-feature equality stumps, skipping any rule whose truth
     vector is constant on the dataset (constant columns yield no usable
-    split and only create degenerate argmax ties)."""
+    split and only create degenerate argmax ties). The fits hold the same
+    candidates as arrays and find the constant columns from their first leaf
+    count, so none calls this."""
     features = dataset.features
-    m, d = features.shape
-    # Column min and max with k rows folded into each long row, since a plain
-    # axis-0 reduction pays numpy's per-row overhead, which dominates at small
-    # d. The last k rows, folded once more, cover the m % k rows left over;
-    # counting a row twice changes no min or max.
-    k = max(1, min(m, 4096 // d))
-    folded = features[: m - m % k].reshape(-1, k * d)
-    last = features[m - k :].reshape(k * d)
-    low = np.minimum(folded.min(axis=0), last).reshape(k, d).min(axis=0)
-    high = np.maximum(folded.max(axis=0), last).reshape(k, d).max(axis=0)
-    varying = np.flatnonzero(low != high)
+    varying = np.flatnonzero(features.min(axis=0) != features.max(axis=0))
     return [Rule(int(j), value) for j in varying for value in (1, 0)]
 
 

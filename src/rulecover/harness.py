@@ -11,6 +11,7 @@ identical re-runs are required.
 """
 
 import csv
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -64,7 +65,11 @@ class ExperimentGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "xb_sizes", tuple(int(x) for x in self.xb_sizes))
+        try:
+            sizes = tuple(map(operator.index, self.xb_sizes))
+        except TypeError:
+            raise ConfigError(f"xb_sizes must be integers, got {self.xb_sizes}") from None
+        object.__setattr__(self, "xb_sizes", sizes)
         if not self.methods:
             raise ConfigError("methods must not be empty")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]

@@ -16,10 +16,11 @@ from .icp import _count_table, _subset_counts, _unpack_keys
 from .scm import ScmConfig, _greedy_fit
 from .stats import _require_environments, chi2_sf, stratified_tests, table_stats
 
-# Not called here: the greedy engine in scm.py builds the candidates and
-# applies each appended rule, the stop test and pruning score count tables,
-# and icp.py numbers the strata. The traced benchmark (perfbench/layers.py)
-# rebinds these names on this module, so they stay importable from here.
+# Not called here: the greedy engine in scm.py reads the default candidates
+# from the count table and applies each appended rule, the stop test and
+# pruning score count tables, and icp.py numbers the strata. The traced
+# benchmark (perfbench/layers.py) rebinds these names on this module, so
+# they stay importable from here.
 from .data import candidate_rules, prediction_matrix  # noqa: F401
 from .stats import conditional_gtest, independence_test, joint_strata  # noqa: F401
 
@@ -65,12 +66,7 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     _require_environments(dataset.envs)
     table = _count_table(dataset, sort_wide=False)
     report = _greedy_fit(
-        dataset,
-        table,
-        rules,
-        model_type,
-        config.p,
-        config.max_rules,
+        table, rules, model_type, config.p, config.max_rules,
         leaf_filter=partial(_first_invariant_leaf, config),
         stop_test=partial(_invariance_reached, config),
     )

@@ -11,7 +11,8 @@ too large for that to pay), each with a (label, env) table of counts. Every
 candidate is a stump on a 0/1 column, so one pass of count-weighted column
 sums over the rows not yet covered gives every candidate's leaf table: an
 iteration costs O(R * d) counting plus O(|rules|) gathering, and the appended
-rule is applied to those rows only.
+rule is applied to those rows only. The default candidates are held as
+(index, value) arrays, and the first leaf count shows the constant columns.
 
 The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
 learner, which adds a leaf filter and a stopping test to it.
@@ -27,13 +28,17 @@ from .data import (
     Conjunction,
     FitReport,
     IterationRecord,
+    Rule,
     StopReason,
     _rule_arrays,
-    candidate_rules,
     prediction_matrix,
 )
 from .errors import ConfigError, DataError
 from .icp import _count_table
+
+# Not called here (a fit's candidates come from the count table); the traced
+# benchmark (perfbench/layers.py) rebinds this name on this module.
+from .data import candidate_rules  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,60 +65,63 @@ def scm_fit(dataset, config, rules=None, model_type="conjunction"):
     Morgan) and reported with the caller's rules.
     """
     table = _count_table(dataset, sort_wide=False, pool_envs=True)
-    return _greedy_fit(
-        dataset, table, rules, model_type, config.p, config.max_rules
-    )
+    return _greedy_fit(table, rules, model_type, config.p, config.max_rules)
 
 
 def _greedy_fit(
-    dataset, table, rules, model_type, p, max_rules, leaf_filter=None,
-    stop_test=None,
+    table, rules, model_type, p, max_rules, leaf_filter=None, stop_test=None
 ):
     """The greedy engine shared by scm and icscm.
 
     ``table`` is the dataset's count table, ``(rows, counts)`` from
     ``icp._count_table``, and the engine holds the part of it still to
-    cover. Each iteration orders the available candidates by (-utility,
-    index). Without a filter the first is appended: the argmax, lowest index
-    on ties. ``leaf_filter(leaves, order)`` instead returns the first
-    candidate it accepts as (rule index, leaf p-value), or None to stop with
-    ``no_valid_rule``; ``leaves`` holds every rule's (label, env) leaf table
-    over the remaining rows, summed from the feature columns. Each appended
-    rule is applied to the remaining rows only, and the rows it settles are
-    dropped. ``stop_test(left)`` on the (2, k) label/environment table of
-    what is left then returns (p-value, stop), and stop ends the fit with
-    ``invariance_reached``. A disjunction is fitted on flipped labels:
-    candidates are counted and applied negated (De Morgan), while the model
-    and the log keep the caller's rules. Default candidates on data where no
-    column varies raise DataError; an explicit empty rule list raises
-    ConfigError.
+    cover. ``rules`` defaults to the 2d stumps in ``candidate_rules``' order,
+    held as (index, value) arrays; the first leaf count, made before any stop
+    check, drops a constant column's pair (one of its leaves is empty) and
+    raises DataError when no column varies. An explicit empty list raises
+    ConfigError. Each iteration orders the available candidates by
+    (-utility, index). Without a filter the first is appended: the argmax,
+    lowest index on ties. ``leaf_filter(leaves, order)`` instead returns the
+    first candidate it accepts as (index, leaf p-value), or None to stop with
+    ``no_valid_rule``; ``leaves`` holds every candidate's (label, env) leaf
+    table over the remaining rows, summed from the feature columns. Only an
+    appended candidate becomes a ``Rule``; it is applied to the remaining
+    rows, and the rows it settles are dropped. ``stop_test(left)`` on the
+    (2, k) label/environment table of what is left then returns (p-value,
+    stop), and stop ends the fit with ``invariance_reached``. A disjunction
+    is fitted on flipped labels: candidates are counted and applied negated
+    (De Morgan), while the model and the log keep the caller's rules.
     """
     if model_type not in ("conjunction", "disjunction"):
         raise ConfigError(f"unknown model_type {model_type!r}")
-    if rules is None:
-        rules = candidate_rules(dataset)
-        if not rules:
-            raise DataError("no feature column varies, so there is no candidate rule")
-    rules = list(rules)
-    if not rules:
-        raise ConfigError("empty candidate rule set")
     is_disjunction = model_type == "disjunction"
     rows, counts = table
-    applied = rules
+    d = rows.shape[1]
+    if rules is None:
+        index, values = np.repeat(np.arange(d), 2), np.tile([1, 0], d)
+    else:
+        rules = list(rules)
+        if not rules:
+            raise ConfigError("empty candidate rule set")
+        index, values = _rule_arrays(rules, d)
+    applied = values
     if is_disjunction:
         counts = np.ascontiguousarray(counts[:, ::-1])
-        applied = [r.negated() for r in rules]
+        applied = 1 - values
 
-    index, values = _rule_arrays(applied, rows.shape[1])
+    leaves = kernels.leaf_label_env_counts(rows, counts, index, applied)
+    available = np.ones(len(index), dtype=bool)
+    if rules is None:
+        available = leaves.any(axis=(1, 2)).reshape(d, 2).all(axis=1).repeat(2)
+        if not available.any():
+            raise DataError("no feature column varies, so there is no candidate rule")
     # The (label, env) table of the rows left: each appended rule's leaf
     # table is exactly what it drops.
     left = np.einsum("ryk->yk", counts)
-    available = np.ones(len(rules), dtype=bool)
-    chosen = []
     log = []
 
     while True:
-        if len(chosen) >= max_rules:
+        if len(log) >= max_rules:
             stop = StopReason.MAX_RULES
             break
         if not left[0].any():
@@ -123,7 +131,8 @@ def _greedy_fit(
             stop = StopReason.NO_VALID_RULE
             break
 
-        leaves = kernels.leaf_label_env_counts(rows, counts, index, values)
+        if log:
+            leaves = kernels.leaf_label_env_counts(rows, counts, index, applied)
         covered = leaves[:, 0, :].sum(axis=1)
         errors = leaves[:, 1, :].sum(axis=1)
         utilities = covered.astype(np.float64) - p * errors.astype(np.float64)
@@ -138,31 +147,20 @@ def _greedy_fit(
                 break
             best, leaf_p = found
 
-        chosen.append(rules[best])
+        rule = Rule(int(index[best]), int(values[best]))
         available[best] = False
-        kept = prediction_matrix(rows, [applied[best]])[:, 0] == 1
+        kept = prediction_matrix(rows, [rule.negated() if is_disjunction else rule])
+        kept = kept[:, 0] == 1
         rows = np.compress(kept, rows, axis=0)
         counts = np.compress(kept, counts, axis=0)
         left = left - leaves[best]
         stop_p = reached = None
         if stop_test is not None:
             stop_p, reached = stop_test(left)
-        log.append(
-            IterationRecord(
-                rule=rules[best],
-                utility=float(utilities[best]),
-                leaf_p_value=leaf_p,
-                stop_p_value=stop_p,
-            )
-        )
+        log.append(IterationRecord(rule, float(utilities[best]), leaf_p, stop_p))
         if reached:
             stop = StopReason.INVARIANCE_REACHED
             break
 
-    model = Conjunction(rules=tuple(chosen), is_disjunction=is_disjunction)
-    return FitReport(
-        model=model,
-        selected_features=model.feature_indices(),
-        per_iteration_log=tuple(log),
-        stop_reason=stop,
-    )
+    model = Conjunction(tuple(record.rule for record in log), is_disjunction)
+    return FitReport(model, model.feature_indices(), log, stop)

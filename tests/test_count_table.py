@@ -115,23 +115,26 @@ def test_fits_on_the_count_table_match_sample_references(
     min_leaf, method, seed,
 ):
     dataset = _dataset(shape, n_patterns, env_ids, seed)
+    # the references run over candidate_rules; the fits, given no list,
+    # read the same candidates from the count table
     rules = candidate_rules(dataset)
     assume(rules)
+    given = None
     if explicit:
         # a caller's list, with repeats, in any order, on any column
         rng = np.random.default_rng(seed + 1)
         drawn = rng.integers(0, [dataset.n_features, 2], size=(8, 2))
-        rules = [Rule(int(j), int(v)) for j, v in drawn]
+        rules = given = [Rule(int(j), int(v)) for j, v in drawn]
     applied, labels, back = _applied(rules, model_type, dataset.labels)
 
-    report = scm_fit(dataset, ScmConfig(p, max_rules), rules, model_type)
+    report = scm_fit(dataset, ScmConfig(p, max_rules), given, model_type)
     want = greedy_reference(
         dataset.features.tolist(), labels.tolist(), p, max_rules, applied
     )
     assert report.model.rules == tuple(back(rule) for rule in want)
 
     config = IcscmConfig(p, max_rules, alpha, min_leaf, method, prune=False)
-    report = icscm_fit(dataset, config, rules, model_type)
+    report = icscm_fit(dataset, config, given, model_type)
     counted = Dataset(features=dataset.features, labels=labels, envs=dataset.envs)
     chosen, log, stop = eager_icscm_reference(counted, config, applied)
     assert report.model.rules == tuple(back(rule) for rule in chosen)

@@ -48,6 +48,22 @@ def test_rule_validation():
         Rule(0, 2)
 
 
+@pytest.mark.parametrize(
+    "feature_index, expected_value",
+    [(0.7, 1), (1.0, 1), (0, 1.0), (0, 0.5), ("0", 1), (0, None), (np.float64(2), 0)],
+)
+def test_rule_refuses_non_integer_fields(feature_index, expected_value):
+    # Rule(0.7, 1) used to fit column 0 and print as x0.7==1
+    with pytest.raises(DataError, match="must be an integer"):
+        Rule(feature_index, expected_value)
+
+
+def test_rule_stores_python_ints():
+    rule = Rule(np.int64(3), np.uint8(1))
+    assert type(rule.feature_index) is int and type(rule.expected_value) is int
+    assert rule == Rule(3, 1) and str(rule) == "x3==1"
+
+
 def test_rule_out_of_range_feature():
     X = np.zeros((3, 2), dtype=np.uint8)
     with pytest.raises(DataError):

@@ -52,6 +52,13 @@ def test_repeated_xb_size_is_refused(sizes):
         ExperimentGrid(xb_sizes=sizes, n_runs=2)
 
 
+@pytest.mark.parametrize("sizes", [(1.5, 2.9), (1.5, 1.2), (1, 2.0), ("3",)])
+def test_non_integer_xb_size_is_refused(sizes):
+    # (1.5, 2.9) used to run sizes (1, 2)
+    with pytest.raises(ConfigError, match="xb_sizes must be integers"):
+        ExperimentGrid(xb_sizes=sizes, n_runs=2)
+
+
 @pytest.mark.parametrize("methods", [("scm", "scm"), ("scm", "icp", "scm")])
 def test_repeated_method_is_refused(methods):
     # a repeated method would fit the same seeds twice and double n_runs

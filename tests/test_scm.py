@@ -50,6 +50,27 @@ def test_custom_rule_beyond_the_data_is_data_error(fit, config, model_type):
         fit(ds, config, rules=[Rule(0, 1), Rule(99, 1)], model_type=model_type)
 
 
+@pytest.mark.parametrize(
+    "fit, config",
+    [(scm_fit, ScmConfig()), (icscm_fit, IcscmConfig())],
+    ids=["scm", "icscm"],
+)
+@pytest.mark.parametrize("model_type", ["conjunction", "disjunction"])
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0]])
+def test_constant_data_has_no_candidate(fit, config, model_type, labels):
+    # every column constant: refused before any stop check, also when one
+    # label is missing and so nothing is left to cover
+    ds = Dataset(
+        features=np.array([[0, 1, 1]] * 4, dtype=np.uint8),
+        labels=np.array(labels, dtype=np.uint8),
+        envs=np.array([0, 0, 1, 1]),
+    )
+    with pytest.raises(DataError, match="no feature column varies"):
+        fit(ds, config, model_type=model_type)
+    with pytest.raises(ConfigError, match="unknown model_type"):
+        fit(ds, config, model_type="either")
+
+
 def test_noiseless_and_fit(xor_and_dataset):
     report = scm_fit(xor_and_dataset, ScmConfig(p=1.0, max_rules=3))
     assert report.selected_features == {0, 1}
