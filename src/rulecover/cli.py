@@ -167,9 +167,12 @@ def cmd_prune(args):
     alpha = IcscmConfig.alpha if args.alpha is None else args.alpha
     pruned = prune(model, dataset, alpha)
     kept = ", ".join(str(r) for r in pruned.rules) or "(empty model)"
-    dropped = [str(r) for r in model.rules if r not in pruned.rules]
+    # the pruned rules are a subsequence of the model's, duplicates included
+    dropped = list(model.rules)
+    for rule in pruned.rules:
+        dropped.remove(rule)
     print(f"kept: {kept}")
-    print(f"dropped: {', '.join(dropped) if dropped else '(none)'}")
+    print(f"dropped: {', '.join(map(str, dropped)) or '(none)'}")
     if args.out:
         save_model_json(pruned, args.out)
         print(f"wrote {args.out}")

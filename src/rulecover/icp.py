@@ -27,6 +27,9 @@ k environments:
   scored on its own over the distinct rows, numbering only its occupied
   strata when 2**s > R: O(R) time and memory per subset.
 
+Env ids and occupied strata are numbered by ``stats._dense_ids``, as in the
+sample-level tests.
+
 Memory is O(R) per subset in the second case. In the first it is at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
 level summed from it and one temporary) plus scoring blocks of
@@ -48,6 +51,7 @@ from . import _kernels as kernels
 from .errors import ConfigError, InfeasibleError
 from .stats import (
     TestResult,
+    _dense_ids,
     _require_environments,
     joint_strata,
     stratified_tests,
@@ -228,20 +232,6 @@ def _unpack_keys(keys, width):
     return np.unpackbits(key_bytes, axis=1, count=width, bitorder="little")
 
 
-def _dense_ids(ids):
-    """Non-negative ids numbered densely in ascending order, and how many
-    distinct ones there are. Ids below their count are numbered through a
-    table of the ids present, so memory stays bounded by the data; larger
-    ids are sorted."""
-    if ids.max() < len(ids):
-        present = np.bincount(ids) > 0
-        if not present.all():
-            ids = (np.cumsum(present) - 1)[ids]
-        return ids, int(present.sum())
-    distinct, ids = np.unique(ids, return_inverse=True)
-    return ids, len(distinct)
-
-
 def _distinct_rows(features):
     """The distinct rows of a 0/1 matrix, and the index into them of every
     sample. Rows of up to 62 features are keyed by one packed integer, wider
@@ -260,13 +250,12 @@ def _subset_counts(table, rows, subset):
     """(n_strata, width) counts of the strata of ``subset`` in ascending
     stratum id as ``joint_strata`` packs it, summed from the per-row
     ``table``: all 2**|S| strata when they are at most the distinct rows,
-    else only the occupied ones."""
+    else only the occupied ones, numbered by ``stats._dense_ids``."""
     strata = joint_strata(rows, subset)
     if 2 ** len(subset) <= len(rows):
         n_strata = 2 ** len(subset)
     else:
-        occupied, strata = np.unique(strata, return_inverse=True)
-        n_strata = len(occupied)
+        strata, n_strata = _dense_ids(strata)
     return np.stack(
         [np.bincount(strata, weights=cell, minlength=n_strata) for cell in table.T],
         axis=1,

@@ -100,10 +100,8 @@ def _first_invariant_leaf(config, leaves, order):
 def _invariance_reached(config, left):
     """Stopping test on the (2, k) label/environment table of the samples
     not yet covered, with its empty env columns dropped: (p-value,
-    p > alpha)."""
+    p > alpha). An all-empty table scores p = 1, degenerate."""
     table = left[:, left.any(axis=0)]
-    if table.size == 0:
-        return 1.0, True
     gamma = stratified_tests(table[None, None], config.test_method)[0].p_value
     return gamma, gamma > config.alpha
 

@@ -150,13 +150,14 @@ def _label_env_counts(y, e, strata=None):
     """(n_strata, 2, k) label-by-environment counts, one table per distinct
     stratum id in ascending order (one stratum when ``strata`` is None), with
     the k distinct env ids numbered densely. Every table in this module is
-    counted here."""
-    y = _int64_ids(y, "labels must be 0/1 valued")
-    e = _int64_ids(e, "environment ids must be integers")
-    one_stratum = strata is None
-    if one_stratum:
-        strata = np.zeros_like(y)  # already dense
-    strata = _int64_ids(strata, "strata must be integers")
+    counted here. y, e and strata are checked as ``Dataset`` checks its ids
+    (``data._exact_cast``): a value the int64 cast would change, such as a
+    fraction or a uint64 id of 2**63 or more, is refused with DataError."""
+    y = _exact_cast(y, np.int64, "labels must be 0/1 valued")
+    e = _exact_cast(e, np.int64, "environment ids must be integers")
+    if strata is None:
+        strata = np.zeros_like(y)
+    strata = _exact_cast(strata, np.int64, "strata must be integers")
     if y.ndim != 1 or e.shape != y.shape or strata.shape != y.shape:
         raise DataError(
             "y, e and strata must be equal-length vectors, "
@@ -166,22 +167,24 @@ def _label_env_counts(y, e, strata=None):
         raise DataError("need at least one sample")
     if y.min() < 0 or y.max() > 1:
         raise DataError("labels must be 0/1 valued")
-    _, e_dense = np.unique(e, return_inverse=True)
-    if not one_stratum:
-        _, strata = np.unique(strata, return_inverse=True)
-    return kernels.stratified_label_env_counts(
-        strata, int(strata.max()) + 1, y, e_dense, int(e_dense.max()) + 1
-    )
+    e, n_env = _dense_ids(e)
+    strata, n_strata = _dense_ids(strata)
+    return kernels.stratified_label_env_counts(strata, n_strata, y, e, n_env)
 
 
-def _int64_ids(values, message):
-    """``values`` as a contiguous int64 array. Integer and bool arrays are
-    cast as they are; any other dtype follows ``Dataset``'s rule and refuses
-    a value the cast would change, such as a fraction, with DataError."""
-    values = np.asarray(values)
-    if values.dtype.kind in "biu":
-        return np.ascontiguousarray(values, dtype=np.int64)
-    return _exact_cast(values, np.int64, message)
+def _dense_ids(ids):
+    """Integer ids numbered densely in ascending order, and how many
+    distinct ones there are: the numbering of ``np.unique(ids,
+    return_inverse=True)``. Non-negative ids below their count are numbered
+    through a table of the ids present, so memory stays bounded by the data;
+    any other ids (negative, or not below their count) are sorted."""
+    if ids.min() >= 0 and ids.max() < len(ids):
+        present = np.bincount(ids) > 0
+        if not present.all():
+            ids = (np.cumsum(present) - 1)[ids]
+        return ids, int(present.sum())
+    distinct, ids = np.unique(ids, return_inverse=True)
+    return ids, len(distinct)
 
 
 def independence_test(y, e, method="chi2"):

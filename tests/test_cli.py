@@ -266,6 +266,21 @@ def test_prune_subcommand(sim_dir, tmp_path, capsys):
     assert set(pruned.rules) <= set(model.rules)
 
 
+def test_prune_reports_a_dropped_duplicate_rule(sim_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    save_model_json(
+        Conjunction(rules=(Rule(0, 1), Rule(1, 1), Rule(1, 1))), model_path
+    )
+    capsys.readouterr()
+    assert main(
+        ["prune", "--data", str(sim_dir / "dataset.csv"), "--model", str(model_path)]
+    ) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kept: x0==1, x1==1",
+        "dropped: x1==1",
+    ]
+
+
 def test_prune_single_env_is_config_error(tmp_path, capsys):
     data = tmp_path / "one"
     assert main(

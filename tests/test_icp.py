@@ -191,6 +191,22 @@ def _wide_dataset(d):
     return ds, 2
 
 
+def _wide_repeated_rows_dataset():
+    # 70 features do not pack into one int64 key, so the distinct rows are
+    # found from their packed bytes; every row repeats one of 40 patterns
+    rng = np.random.default_rng(70)
+    m = 300
+    patterns = rng.integers(0, 2, (40, 70), dtype=np.uint8)
+    rows = np.concatenate([np.arange(40), rng.integers(0, 40, m - 40)])
+    dataset = Dataset(
+        features=patterns[rows],
+        labels=rng.integers(0, 2, m, dtype=np.uint8),
+        envs=rng.integers(0, 2, m),
+    )
+    assert len(icp._count_table(dataset, sort_wide=True)[0]) == 40
+    return dataset, 1
+
+
 REFERENCE_CASES = {
     "simulated_xb1": lambda: (simulate(SimConfig(n_distractors=1, seed=31))[0], None),
     "simulated_xb3": lambda: (
@@ -201,6 +217,7 @@ REFERENCE_CASES = {
     "constant_column": _constant_column_dataset,
     "d25_capped": lambda: _wide_dataset(25),
     "d70_capped": lambda: _wide_dataset(70),
+    "d70_repeated_rows": _wide_repeated_rows_dataset,
 }
 
 

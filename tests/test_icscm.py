@@ -7,7 +7,7 @@ import pytest
 from rulecover.data import Conjunction, Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError, DataError
 from rulecover.harness import derive_run_seed
-from rulecover.icscm import IcscmConfig, icscm_fit, prune
+from rulecover.icscm import IcscmConfig, _invariance_reached, icscm_fit, prune
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.simulator import SimConfig, simulate
 
@@ -255,6 +255,13 @@ def test_fits_depend_on_env_order_not_id_values(ids):
     relabelled = Dataset(features=features, labels=labels, envs=dense)
     assert got == (scm_fit(relabelled, configs[0]), icscm_fit(relabelled, configs[1]))
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("method", ["chi2", "gtest"])
+def test_stop_test_passes_when_no_samples_are_left(method):
+    left = np.zeros((2, 3), dtype=np.int64)
+    config = IcscmConfig(test_method=method)
+    assert _invariance_reached(config, left) == (1.0, True)
 
 
 class TestPrune:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rulecover import stats
 from rulecover.errors import DataError
 from rulecover.stats import (
+    _dense_ids,
     _label_env_counts,
     _result_from,
     chi2_sf,
@@ -271,6 +272,58 @@ def test_stratified_tests_match_per_set_reference(
         stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
         assert result == _result_from(stat.sum(), dof.sum())
 
+
+_ID_LISTS = st.one_of(
+    # negative ids, and ids around their count
+    st.lists(st.integers(-5, 40), min_size=1, max_size=40),
+    # sparse ids, most of them far above their count
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=40),
+    # dense ids, every one below the count
+    st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    ),
+    # one repeated value
+    st.builds(lambda v, n: [v] * n, st.integers(-(10**12), 10**12), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ID_LISTS)
+def test_dense_ids_number_as_unique(ids):
+    ids = np.array(ids, dtype=np.int64)
+    distinct, expected = np.unique(ids, return_inverse=True)
+    dense, n_distinct = _dense_ids(ids)
+    assert n_distinct == len(distinct)
+    assert dense.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("wrapped", [2**63, 2**64 - 1])
+def test_uint64_ids_beyond_int64_are_refused(wrapped):
+    # cast to int64 these ids would wrap to negative numbers; Dataset and the
+    # CSV loader refuse them, and so do the sample-level tests
+    y = np.array([0, 1, 0, 1, 1, 0])
+    ids = np.array([wrapped, 0, wrapped, 0, 1, 1], dtype=np.uint64)
+    small = np.array([0, 0, 1, 1, 2, 2])
+    with pytest.raises(DataError, match="environment ids must be integers"):
+        independence_test(y, ids)
+    with pytest.raises(DataError, match="environment ids must be integers"):
+        conditional_gtest(y, ids, small)
+    with pytest.raises(DataError, match="strata must be integers"):
+        conditional_gtest(y, small, ids)
+
+
+def test_uint64_and_int64_ids_give_equal_results():
+    rng = np.random.default_rng(3)
+    y = rng.integers(0, 2, 200)
+    e = rng.choice(np.array([0, 9, 2**40, 2**63 - 1], dtype=np.int64), 200)
+    strata = rng.choice(np.array([1, 2**50, 2**63 - 2], dtype=np.int64), 200)
+    for method in ("chi2", "gtest"):
+        assert independence_test(y, e.astype(np.uint64), method) == (
+            independence_test(y, e, method)
+        )
+    assert conditional_gtest(y, e.astype(np.uint64), strata.astype(np.uint64)) == (
+        conditional_gtest(y, e, strata)
+    )
 
 
 def test_joint_strata_packs_bits():
