@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels as kernels
 from . import icp
 from .data import write_json
-from .errors import ConfigError
+from .errors import ConfigError, _require_int, _require_int_fields
 from .icp import IcpConfig
 from .icscm import IcscmConfig, icscm_fit
 from .scm import ScmConfig, scm_fit
@@ -83,12 +83,7 @@ class ExperimentGrid:
             raise ConfigError("xb_sizes must be non-negative")
         if len(set(self.xb_sizes)) < len(self.xb_sizes):
             raise ConfigError(f"xb_sizes must not repeat a size, got {self.xb_sizes}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        _require_int_fields(self, master_seed=0, n_runs=1, jobs=1)
         invariant = ", ".join(m for m in self.methods if m != "scm")
         if invariant and self.base_sim.n_envs < 2:
             raise ConfigError(f"{invariant} need >= 2 environments, got 1")
@@ -292,8 +287,7 @@ def run_runtime_benchmark(grid, repeats=3, out_dir=None):
     whatever ``grid.jobs`` says (data generation is not timed). Returns row
     dicts in (xb_size, method) grid order; optionally writes benchmark.csv,
     creating ``out_dir`` before any cell runs."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    repeats = _require_int("repeats", repeats, 1)
     _before_cells(grid, out_dir)
     timed = replace(grid, n_runs=repeats, record_timings=True, jobs=1)
     times = {}

@@ -13,9 +13,13 @@ counts (cached sufficient statistics, Moore & Lee, JAIR 1998). When the
 per sample, one bincount over the packed rows makes the table, with no sort;
 on a wider key space the distinct rows are found by sorting. Every subset's
 table is summed from these (``_subset_counts``, which pruning in icscm.py
-shares), one size s at a time from the largest tested size down to 0. With
-k environments:
+shares), in one scan over the sizes s from the largest tested size down to
+0. Each size is decided, scored and recorded in that scan, and takes one of
+four branches. With k environments:
 
+- With fewer than ``min_samples_per_cell`` samples per cell of a size-s
+  table's 2k * 2**s cells, the size is skipped and each of its subsets is
+  recorded untested (p = 1, degenerate); only the largest sizes can be.
 - If 2**s <= R and the level's C(d, s) * 2**s tables of 2k cells fit in
   ``_LEVEL_CELLS``, the level is held whole. It is summed from the held level
   above when there is one (a subset's table is a marginal of its parent's,
@@ -30,7 +34,7 @@ k environments:
 Env ids and occupied strata are numbered by ``stats._dense_ids``, as in the
 sample-level tests.
 
-Memory is O(R) per subset in the second case. In the first it is at most
+Memory is O(R) per subset counted on its own. A held level takes at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
 level summed from it and one temporary) plus scoring blocks of
 ``_BLOCK_CELLS`` cells.
@@ -42,13 +46,15 @@ grouped.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, _require_int_fields
 from .stats import (
     TestResult,
     _dense_ids,
@@ -91,10 +97,9 @@ class IcpConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.max_subset_size is not None and self.max_subset_size < 0:
-            raise ConfigError("max_subset_size must be >= 0")
-        if self.min_samples_per_cell < 0:
-            raise ConfigError("min_samples_per_cell must be >= 0")
+        if self.max_subset_size is not None:
+            _require_int_fields(self, max_subset_size=0)
+        _require_int_fields(self, min_samples_per_cell=0)
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,12 @@ def check_feasible(n_features, config):
 
 
 def icp_report(dataset, config):
-    """Run the full subset scan and keep the per-subset log."""
+    """Run the full subset scan and keep the per-subset log. One scan from
+    the largest tested size down to 0 takes one branch per size: skipped by
+    the guard, counted subset by subset, counted subset by subset to seed the
+    held chain, or summed from the held size above. Every size, skipped or
+    not, is recorded in that pass; ``tests`` lists them by ascending size,
+    and ``selected`` is the intersection of the accepted subsets."""
     _require_environments(dataset.envs)
     d = dataset.n_features
     check_feasible(d, config)
@@ -136,56 +146,39 @@ def icp_report(dataset, config):
     rows, table = _count_table(dataset, sort_wide=True)
     k = table.shape[2]
     table = table.reshape(len(rows), 2 * k).astype(np.float64)
-    # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
-    top = max_size
-    while top >= 0 and config.min_samples_per_cell and (
-        dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**top
-    ):
-        top -= 1
-
-    outcomes = {}
-    held = None
-    for size in range(top, -1, -1):
+    levels, held = [], None
+    for size in range(max_size, -1, -1):
         subsets = list(combinations(range(d), size))
-        outcomes[size] = []
-        if 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
-            held = None
+        # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
+        if dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**size:
+            results = [_UNTESTED] * len(subsets)
+        elif 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
+            held, results = None, []
             for subset in subsets:
                 counts = _subset_counts(table, rows, subset)
-                outcomes[size] += stratified_tests(counts.reshape(1, -1, 2, k))
-            continue
-        if held is None:
-            held = np.empty((len(subsets), 2**size, 2 * k))
-            for i, subset in enumerate(subsets):
-                held[i] = _subset_counts(table, rows, subset)
+                results += stratified_tests(counts.reshape(1, -1, 2, k))
         else:
-            held = _marginal_level_counts(held, held_subsets, subsets)
-        held_subsets = subsets
-        level = held.reshape(len(subsets), -1, 2, k)
-        step = max(1, _BLOCK_CELLS // level[0].size)
-        for start in range(0, len(level), step):
-            outcomes[size] += stratified_tests(level[start : start + step])
-
-    tests = []
-    selected = None
-    for size in range(max_size + 1):
-        for subset, result in zip(
-            combinations(range(d), size), outcomes.get(size, repeat(_UNTESTED))
-        ):
-            accepted = result.p_value > config.alpha
-            tests.append(
-                SubsetTest(
-                    features=subset,
-                    p_value=result.p_value,
-                    accepted=accepted,
-                    degenerate=result.degenerate,
-                )
-            )
-            if accepted:
-                subset_set = frozenset(subset)
-                selected = subset_set if selected is None else selected & subset_set
+            if held is None:
+                held = np.empty((len(subsets), 2**size, 2 * k))
+                for i, subset in enumerate(subsets):
+                    held[i] = _subset_counts(table, rows, subset)
+            else:
+                held = _marginal_level_counts(held, held_subsets, subsets)
+            held_subsets, results = subsets, []
+            level = held.reshape(len(subsets), -1, 2, k)
+            step = max(1, _BLOCK_CELLS // level[0].size)
+            for start in range(0, len(level), step):
+                results += stratified_tests(level[start : start + step])
+        levels.append(
+            [
+                SubsetTest(subset, r.p_value, r.p_value > config.alpha, r.degenerate)
+                for subset, r in zip(subsets, results)
+            ]
+        )
+    tests = tuple(test for level in reversed(levels) for test in level)
+    accepted = [frozenset(test.features) for test in tests if test.accepted]
     return IcpReport(
-        selected=frozenset() if selected is None else selected, tests=tuple(tests)
+        selected=reduce(and_, accepted) if accepted else frozenset(), tests=tests
     )
 
 

@@ -10,8 +10,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import Conjunction
-from .errors import ConfigError, DataError
+from .data import Conjunction, _rule_arrays
+from .errors import ConfigError, _require_int_fields
 from .icp import _count_table, _subset_counts, _unpack_keys
 from .scm import ScmConfig, _greedy_fit
 from .stats import _require_environments, chi2_sf, stratified_tests, table_stats
@@ -45,8 +45,7 @@ class IcscmConfig(ScmConfig):
         super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        _require_int_fields(self, min_leaf=1)
         if self.test_method not in ("chi2", "gtest"):
             raise ConfigError(
                 f"test_method must be 'chi2' or 'gtest', got {self.test_method!r}"
@@ -120,12 +119,7 @@ def prune(model, dataset, alpha, table=None):
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     _require_environments(dataset.envs)
-    for rule in model.rules:
-        if rule.feature_index >= dataset.n_features:
-            raise DataError(
-                f"model rule {rule} names feature {rule.feature_index} of "
-                f"{dataset.n_features}-feature data"
-            )
+    _rule_arrays(model.rules, dataset.n_features)
     if table is None:
         table = _count_table(dataset, sort_wide=False)
     rows, counts = table

@@ -33,7 +33,7 @@ from .data import (
     _rule_arrays,
     prediction_matrix,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_int_fields
 from .icp import _count_table
 
 # Not called here (a fit's candidates come from the count table); the traced
@@ -53,8 +53,7 @@ class ScmConfig:
         # p = inf would make 0 * p NaN for every rule with no errors
         if not 0 < self.p < math.inf:
             raise ConfigError(f"p must be finite and positive, got {self.p}")
-        if self.max_rules < 1:
-            raise ConfigError(f"max_rules must be >= 1, got {self.max_rules}")
+        _require_int_fields(self, max_rules=1)
 
 
 def scm_fit(dataset, config, rules=None, model_type="conjunction"):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Conjunction, Dataset, Rule, save_dataset_csv, write_json
-from .errors import ConfigError
+from .errors import ConfigError, _require_int_fields
 
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
 # jumps 0.1 -> 0.5 across environments while parent 2 drops 0.5 -> 0.3.
@@ -36,19 +36,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_envs < 1:
-            raise ConfigError(f"n_envs must be >= 1, got {self.n_envs}")
-        if self.n_samples_per_env < 1:
-            raise ConfigError(
-                f"n_samples_per_env must be >= 1, got {self.n_samples_per_env}"
-            )
-        if self.n_distractors < 0:
-            raise ConfigError(f"n_distractors must be >= 0, got {self.n_distractors}")
+        _require_int_fields(
+            self, n_envs=1, n_samples_per_env=1, n_distractors=0, seed=0
+        )
         for name in ("eps_y", "eps_child", "eps_distractor"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if not 0 <= self.seed < 2 ** 64:
+        if self.seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         probs = self.parent_probs
         if probs is None:

@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from rulecover import harness, icp
@@ -14,6 +15,8 @@ from rulecover.harness import (
     summarize,
 )
 from rulecover.icp import IcpConfig
+from rulecover.icscm import IcscmConfig
+from rulecover.scm import ScmConfig
 from rulecover.simulator import SimConfig
 
 from conftest import no_enumeration
@@ -57,6 +60,43 @@ def test_non_integer_xb_size_is_refused(sizes):
     # (1.5, 2.9) used to run sizes (1, 2)
     with pytest.raises(ConfigError, match="xb_sizes must be integers"):
         ExperimentGrid(xb_sizes=sizes, n_runs=2)
+
+
+INTEGER_FIELDS = [
+    (ScmConfig, "max_rules"),
+    (IcscmConfig, "min_leaf"),
+    (IcpConfig, "max_subset_size"),
+    (IcpConfig, "min_samples_per_cell"),
+    (SimConfig, "n_envs"),
+    (SimConfig, "n_samples_per_env"),
+    (SimConfig, "n_distractors"),
+    (SimConfig, "seed"),
+    (ExperimentGrid, "master_seed"),
+    (ExperimentGrid, "n_runs"),
+    (ExperimentGrid, "jobs"),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, "2"])
+@pytest.mark.parametrize(
+    "config, name",
+    INTEGER_FIELDS + [(run_runtime_benchmark, "repeats")],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_integer_settings_refuse_non_integers(config, name, value):
+    # unchecked, max_rules=1.5 fits 2 rules, master_seed=0.5 runs seed 0 while
+    # the manifest says 0.5, and the others fail later with a TypeError
+    args = (_small_grid(),) if config is run_runtime_benchmark else ()
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        config(*args, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "config, name", INTEGER_FIELDS, ids=lambda x: getattr(x, "__name__", x)
+)
+def test_integer_settings_store_numpy_integers_as_int(config, name):
+    value = getattr(config(**{name: np.int64(2)}), name)
+    assert value == 2 and type(value) is int
 
 
 @pytest.mark.parametrize("methods", [("scm", "scm"), ("scm", "icp", "scm")])

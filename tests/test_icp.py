@@ -311,3 +311,16 @@ def test_guarded_top_size_seeds_the_held_chain(monkeypatch):
     assert calls == {"joint_strata": 29, "_subset_counts": 28}
     monkeypatch.undo()
     assert report == _reference_report(dataset, config)
+
+
+@pytest.mark.parametrize("max_size", [None, 7, 3])
+def test_each_size_is_enumerated_once(monkeypatch, max_size):
+    # one combinations call per size from max_size down to 0, the sizes the
+    # guard skips (7 and 8 here) included
+    dataset = _independent_dataset(seed=4, m=4000, d=8)
+    calls = _count_calls(monkeypatch, ("combinations",))
+    config = IcpConfig(max_subset_size=max_size, min_samples_per_cell=10)
+    report = icp_report(dataset, config)
+    assert calls == {"combinations": (8 if max_size is None else max_size) + 1}
+    monkeypatch.undo()
+    assert report == _reference_report(dataset, config)
