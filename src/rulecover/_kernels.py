@@ -1,9 +1,29 @@
-"""Counting kernels behind the fitting algorithms, in numpy."""
+"""Every count the fits and tests read, in numpy.
+
+The data is read once, by ``_count_table``, the builder every fit and ICP
+use: it gives each of the R distinct feature rows a (label, environment)
+table of counts, (R, 2, k) int64 (cached sufficient statistics, Moore & Lee,
+JAIR 1998). When the (row, label, env) key space 2**d * 2k is at most
+``_KEYS_PER_SAMPLE`` keys per sample, one bincount over the rows packed by
+``joint_strata`` makes the table, with no sort; on a wider key space the
+distinct rows are found by sorting, or every sample is its own row. The
+greedy fits sum every stump's leaf table from it
+(``leaf_label_env_counts``); ICP and icscm's pruning sum each subset's
+strata (``_subset_counts``), and ICP sums a held level from the level above
+(``_marginal_level_counts``). Env ids and occupied strata are numbered by
+``_dense_ids``, as in the sample-level tests, whose tables
+``stratified_label_env_counts`` counts.
+"""
 
 import numpy as np
 
+from .errors import DataError
+
 # Recorded in experiment manifests and benchmark records.
 BACKEND = "python"
+# The data is compressed to its distinct rows by one bincount when the
+# (row, label, env) key space is at most this many keys per sample.
+_KEYS_PER_SAMPLE = 2
 
 
 def leaf_label_env_counts(rows, counts, index, value):
@@ -64,3 +84,145 @@ def stratified_label_env_counts(strata, n_strata, y, e, n_env):
     idx = (strata * 2 + y) * n_env + e
     flat = np.bincount(idx, minlength=int(n_strata) * 2 * n_env)
     return flat.reshape(int(n_strata), 2, n_env).astype(np.int64, copy=False)
+
+
+def _count_table(dataset, sort_wide, pool_envs=False):
+    """The data as distinct feature rows and their (label, env) counts:
+    ``rows`` (R, d) 0/1 and ``counts`` (R, 2, k) int64, with env ids
+    numbered densely in ascending order. ``pool_envs`` counts every sample
+    in one environment (k = 1), for a fit that never reads env ids.
+
+    When the key space of (row, label, env) is at most
+    ``_KEYS_PER_SAMPLE`` times the sample count, one bincount over the
+    packed rows counts it and the occupied rows are kept in ascending
+    packed order, with no sort. On a wider key space, ``sort_wide`` finds
+    the distinct rows by sorting (same rows, same order); otherwise every
+    sample is its own row, with a count of 1.
+    """
+    features = dataset.features
+    m, d = features.shape
+    if pool_envs:
+        envs, k = np.zeros(m, dtype=np.int64), 1
+    else:
+        envs, k = _dense_ids(dataset.envs)
+    if 2**d * 2 * k <= _KEYS_PER_SAMPLE * m:
+        keys = joint_strata(features, range(d))
+        counts = stratified_label_env_counts(
+            keys, 2**d, dataset.labels, envs, k
+        )
+        occupied = np.flatnonzero(np.bincount(keys, minlength=2**d))
+        return _unpack_keys(occupied, d), np.take(counts, occupied, axis=0)
+    if sort_wide:
+        rows, row_ids = _distinct_rows(features)
+    else:
+        rows, row_ids = features, np.arange(m)
+    counts = stratified_label_env_counts(
+        row_ids, len(rows), dataset.labels, envs, k
+    )
+    return rows, counts
+
+
+def _unpack_keys(keys, width):
+    """The 0/1 rows that ``joint_strata`` packs into ``keys`` over ``width``
+    columns: a row is its key's bits, lowest first."""
+    key_bytes = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(key_bytes, axis=1, count=width, bitorder="little")
+
+
+def _distinct_rows(features):
+    """The distinct rows of a 0/1 matrix, and the index into them of every
+    sample. Rows of up to 62 features are keyed by one packed integer, wider
+    rows by their packed bytes."""
+    d = features.shape[1]
+    if d <= 62:
+        keys = joint_strata(features, range(d))
+    else:
+        packed = np.packbits(features, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, row_ids = np.unique(keys, return_index=True, return_inverse=True)
+    return features[first], row_ids
+
+
+def _subset_counts(table, rows, subset):
+    """(n_strata, width) counts of the strata of ``subset`` in ascending
+    stratum id as ``joint_strata`` packs it, summed from the per-row
+    ``table``: all 2**|S| strata when they are at most the distinct rows,
+    else only the occupied ones, numbered by ``_dense_ids``."""
+    strata = joint_strata(rows, subset)
+    if 2 ** len(subset) <= len(rows):
+        n_strata = 2 ** len(subset)
+    else:
+        strata, n_strata = _dense_ids(strata)
+    return np.stack(
+        [np.bincount(strata, weights=cell, minlength=n_strata) for cell in table.T],
+        axis=1,
+    )
+
+
+def _marginal_level_counts(parents, parent_subsets, subsets):
+    """Counts of the size-s ``subsets`` from ``parents``, the held counts of
+    ``parent_subsets``, every size-(s + 1) subset in ``combinations`` order.
+    A subset's parent adds its smallest missing column c and is found by its
+    position in ``parent_subsets``; c sits at bit c of the parent's stratum
+    id, and the subset's table sums the parent's two strata that differ only
+    in that bit."""
+    position = {subset: i for i, subset in enumerate(parent_subsets)}
+    columns = np.array(subsets, dtype=np.intp)
+    size = columns.shape[1]
+    missing = (columns == np.arange(size)).sum(axis=1)
+    parent = [
+        position[subset[:c] + (c,) + subset[c:]]
+        for subset, c in zip(subsets, missing.tolist())
+    ]
+    bit = 1 << missing[:, None]
+    strata = np.arange(2**size)[None, :]
+    low = strata & (bit - 1)
+    strata = low | ((strata ^ low) << 1)
+    strata += (np.array(parent, dtype=np.intp) * 2 ** (size + 1))[:, None]
+    flat = parents.reshape(-1, parents.shape[2])
+    counts = flat[strata]
+    counts += flat[strata | bit]
+    return counts
+
+
+def _dense_ids(ids):
+    """Integer ids numbered densely in ascending order, and how many
+    distinct ones there are: the numbering of ``np.unique(ids,
+    return_inverse=True)``. Non-negative ids below their count are numbered
+    through a table of the ids present, so memory stays bounded by the data;
+    any other ids (negative, or not below their count) are sorted."""
+    if ids.min() >= 0 and ids.max() < len(ids):
+        present = np.bincount(ids) > 0
+        if not present.all():
+            ids = (np.cumsum(present) - 1)[ids]
+        return ids, int(present.sum())
+    distinct, ids = np.unique(ids, return_inverse=True)
+    return ids, len(distinct)
+
+
+def joint_strata(features, feature_indices):
+    """Stratum ids from the joint value of binary feature columns.
+
+    An empty index set yields a single all-zero stratum, which reduces the
+    conditional G-test to the unconditional one. An index that is negative,
+    not below the column count, or repeated raises DataError.
+    """
+    features = np.asarray(features)
+    cols = sorted(feature_indices)
+    if not cols:
+        return np.zeros(features.shape[0], dtype=np.int64)
+    d = features.shape[1]
+    if cols[0] < 0 or cols[-1] >= d or len(set(cols)) < len(cols):
+        raise DataError(
+            f"feature indices must be distinct columns of {d}-column data, "
+            f"got {cols}"
+        )
+    if len(cols) > 62:
+        raise DataError(f"cannot pack {len(cols)} features into stratum ids")
+    weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)
+    if len(cols) <= 24:
+        # float32 sums of distinct powers of two below 2**24 are exact, and
+        # a float32 product is two to three times faster than an int64 one
+        packed = features[:, cols].astype(np.float32) @ weights.astype(np.float32)
+        return packed.astype(np.int64)
+    return features[:, cols].astype(np.int64) @ weights

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the integer setting check."""
+"""Exception types shared across the package, and the setting checks."""
 
+import contextlib
+import numbers
 import operator
+
+import numpy as np
 
 
 class RulecoverError(Exception):
@@ -36,4 +40,36 @@ def _require_int_fields(config, **minimums):
     """``_require_int`` on fields of a frozen dataclass, storing each int."""
     for name, minimum in minimums.items():
         value = _require_int(name, getattr(config, name), minimum)
+        object.__setattr__(config, name, value)
+
+
+def _require_real(name, value, low, high, closed=False, what=None):
+    """``value`` as a Python float in (low, high), or [low, high] when
+    ``closed``; ConfigError "``name`` must be ``what``" (by default, a real
+    number in that interval) for a value outside it, NaN, a bool or a
+    non-real such as "0.5" or None, instead of a TypeError or a coercion."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond any float
+            value = float(value)
+            if (low <= value <= high) if closed else (low < value < high):
+                return value
+    if what is None:
+        bounds = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        what = f"a real number in {bounds}"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _require_bool(name, value):
+    """``value`` as a Python bool; ConfigError for anything but a bool or
+    numpy bool, such as "no", 0 or None, which would be read as truthiness."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _require_fields(config, check, *names, **bounds):
+    """``check(name, value, **bounds)`` on fields of a frozen dataclass,
+    storing what it returns."""
+    for name in names:
+        value = check(name, getattr(config, name), **bounds)
         object.__setattr__(config, name, value)

@@ -14,14 +14,15 @@ import csv
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 import numpy as np
 
 from . import _kernels as kernels
 from . import icp
 from .data import write_json
-from .errors import ConfigError, _require_int, _require_int_fields
+from .errors import ConfigError, _require_bool, _require_fields
+from .errors import _require_int, _require_int_fields
 from .icp import IcpConfig
 from .icscm import IcscmConfig, icscm_fit
 from .scm import ScmConfig, scm_fit
@@ -84,6 +85,15 @@ class ExperimentGrid:
         if len(set(self.xb_sizes)) < len(self.xb_sizes):
             raise ConfigError(f"xb_sizes must not repeat a size, got {self.xb_sizes}")
         _require_int_fields(self, master_seed=0, n_runs=1, jobs=1)
+        _require_fields(self, _require_bool, "record_timings")
+        # every field has its declared type: a nested config of another class
+        # would otherwise fail only inside the first cell
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, field.type):
+                raise ConfigError(
+                    f"{field.name} must be a {field.type.__name__}, got {value!r}"
+                )
         invariant = ", ".join(m for m in self.methods if m != "scm")
         if invariant and self.base_sim.n_envs < 2:
             raise ConfigError(f"{invariant} need >= 2 environments, got 1")

@@ -10,15 +10,16 @@ from functools import partial
 
 import numpy as np
 
+from . import _kernels as kernels
 from .data import Conjunction, _rule_arrays
-from .errors import ConfigError, _require_int_fields
-from .icp import _count_table, _subset_counts, _unpack_keys
+from .errors import ConfigError, _require_bool, _require_fields
+from .errors import _require_int_fields, _require_real
 from .scm import ScmConfig, _greedy_fit
 from .stats import _require_environments, chi2_sf, stratified_tests, table_stats
 
 # Not called here: the greedy engine in scm.py reads the default candidates
 # from the count table and applies each appended rule, the stop test and
-# pruning score count tables, and icp.py numbers the strata. The traced
+# pruning score count tables, and _kernels packs the strata. The traced
 # benchmark (perfbench/layers.py) rebinds these names on this module, so
 # they stay importable from here.
 from .data import candidate_rules, prediction_matrix  # noqa: F401
@@ -43,8 +44,8 @@ class IcscmConfig(ScmConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _require_fields(self, _require_real, "alpha", low=0, high=1)
+        _require_fields(self, _require_bool, "prune")
         _require_int_fields(self, min_leaf=1)
         if self.test_method not in ("chi2", "gtest"):
             raise ConfigError(
@@ -63,7 +64,7 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted through De Morgan, as in ``scm_fit``.
     """
     _require_environments(dataset.envs)
-    table = _count_table(dataset, sort_wide=False)
+    table = kernels._count_table(dataset, sort_wide=False)
     report = _greedy_fit(
         table, rules, model_type, config.p, config.max_rules,
         leaf_filter=partial(_first_invariant_leaf, config),
@@ -113,15 +114,14 @@ def prune(model, dataset, alpha, table=None):
     certifies the rule's feature is not a causal parent and the rule is
     removed. The scan restarts after each removal (the conditioning set has
     changed) and repeats until a full pass removes nothing. Each test sums
-    the strata from the dataset's count table (``icp._count_table``), which
-    a caller that already holds it passes as ``table``.
+    the strata from the dataset's count table (``_kernels._count_table``),
+    which a caller that already holds it passes as ``table``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _require_real("alpha", alpha, 0, 1)
     _require_environments(dataset.envs)
     _rule_arrays(model.rules, dataset.n_features)
     if table is None:
-        table = _count_table(dataset, sort_wide=False)
+        table = kernels._count_table(dataset, sort_wide=False)
     rows, counts = table
     k = counts.shape[2]
     flat = counts.reshape(len(rows), 2 * k).astype(np.float64)
@@ -129,8 +129,8 @@ def prune(model, dataset, alpha, table=None):
     # first summed over their 2**f joint values when those are fewer rows.
     columns = sorted(model.feature_indices())
     if 2 ** len(columns) <= len(rows):
-        flat = _subset_counts(flat, rows, columns)
-        rows = _unpack_keys(np.arange(2 ** len(columns)), len(columns))
+        flat = kernels._subset_counts(flat, rows, columns)
+        rows = kernels._unpack_keys(np.arange(2 ** len(columns)), len(columns))
     else:
         rows = rows[:, columns]
     position = {feature: i for i, feature in enumerate(columns)}
@@ -142,7 +142,7 @@ def prune(model, dataset, alpha, table=None):
             remaining = {
                 position[r.feature_index] for j, r in enumerate(rules) if j != idx
             }
-            strata = _subset_counts(flat, rows, remaining)
+            strata = kernels._subset_counts(flat, rows, remaining)
             result = stratified_tests(strata.reshape(1, -1, 2, k))[0]
             if result.p_value > alpha:
                 del rules[idx]

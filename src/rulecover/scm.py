@@ -33,8 +33,8 @@ from .data import (
     _rule_arrays,
     prediction_matrix,
 )
-from .errors import ConfigError, DataError, _require_int_fields
-from .icp import _count_table
+from .errors import ConfigError, DataError, _require_fields
+from .errors import _require_int_fields, _require_real
 
 # Not called here (a fit's candidates come from the count table); the traced
 # benchmark (perfbench/layers.py) rebinds this name on this module.
@@ -51,8 +51,9 @@ class ScmConfig:
 
     def __post_init__(self):
         # p = inf would make 0 * p NaN for every rule with no errors
-        if not 0 < self.p < math.inf:
-            raise ConfigError(f"p must be finite and positive, got {self.p}")
+        _require_fields(
+            self, _require_real, "p", low=0, high=math.inf, what="finite and positive"
+        )
         _require_int_fields(self, max_rules=1)
 
 
@@ -63,7 +64,7 @@ def scm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted as the conjunction of the negated rules on negated labels (De
     Morgan) and reported with the caller's rules.
     """
-    table = _count_table(dataset, sort_wide=False, pool_envs=True)
+    table = kernels._count_table(dataset, sort_wide=False, pool_envs=True)
     return _greedy_fit(table, rules, model_type, config.p, config.max_rules)
 
 
@@ -73,7 +74,7 @@ def _greedy_fit(
     """The greedy engine shared by scm and icscm.
 
     ``table`` is the dataset's count table, ``(rows, counts)`` from
-    ``icp._count_table``, and the engine holds the part of it still to
+    ``_kernels._count_table``, and the engine holds the part of it still to
     cover. ``rules`` defaults to the 2d stumps in ``candidate_rules``' order,
     held as (index, value) arrays; the first leaf count, made before any stop
     check, drops a constant column's pair (one of its leaves is empty) and

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Conjunction, Dataset, Rule, save_dataset_csv, write_json
-from .errors import ConfigError, _require_int_fields
+from .errors import ConfigError, _require_fields, _require_int_fields, _require_real
 
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
 # jumps 0.1 -> 0.5 across environments while parent 2 drops 0.5 -> 0.3.
@@ -39,10 +39,9 @@ class SimConfig:
         _require_int_fields(
             self, n_envs=1, n_samples_per_env=1, n_distractors=0, seed=0
         )
-        for name in ("eps_y", "eps_child", "eps_distractor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        unit = dict(low=0, high=1, closed=True)
+        eps = ("eps_y", "eps_child", "eps_distractor")
+        _require_fields(self, _require_real, *eps, **unit)
         if self.seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         probs = self.parent_probs
@@ -53,7 +52,10 @@ class SimConfig:
                     "supply parent_probs with one row per environment"
                 )
             probs = DEFAULT_PARENT_PROBS[: self.n_envs]
-        probs = tuple(tuple(float(p) for p in row) for row in probs)
+        probs = tuple(
+            tuple(_require_real("parent_probs entry", p, **unit) for p in row)
+            for row in probs
+        )
         if len(probs) != self.n_envs:
             raise ConfigError(
                 f"parent_probs has {len(probs)} rows for {self.n_envs} environments"
@@ -61,8 +63,6 @@ class SimConfig:
         for row in probs:
             if len(row) != 2:
                 raise ConfigError("each parent_probs row needs exactly two entries")
-            if not all(0.0 <= p <= 1.0 for p in row):
-                raise ConfigError(f"parent probabilities must lie in [0, 1], got {row}")
         object.__setattr__(self, "parent_probs", probs)
 
 

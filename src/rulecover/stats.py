@@ -16,6 +16,9 @@ from . import _kernels as kernels
 from .data import _exact_cast
 from .errors import ConfigError, DataError
 
+# Defined with the count table whose rows it packs; exported from here.
+from ._kernels import joint_strata  # noqa: F401
+
 _EPS = 1e-15
 _TINY = 1e-300
 
@@ -167,24 +170,9 @@ def _label_env_counts(y, e, strata=None):
         raise DataError("need at least one sample")
     if y.min() < 0 or y.max() > 1:
         raise DataError("labels must be 0/1 valued")
-    e, n_env = _dense_ids(e)
-    strata, n_strata = _dense_ids(strata)
+    e, n_env = kernels._dense_ids(e)
+    strata, n_strata = kernels._dense_ids(strata)
     return kernels.stratified_label_env_counts(strata, n_strata, y, e, n_env)
-
-
-def _dense_ids(ids):
-    """Integer ids numbered densely in ascending order, and how many
-    distinct ones there are: the numbering of ``np.unique(ids,
-    return_inverse=True)``. Non-negative ids below their count are numbered
-    through a table of the ids present, so memory stays bounded by the data;
-    any other ids (negative, or not below their count) are sorted."""
-    if ids.min() >= 0 and ids.max() < len(ids):
-        present = np.bincount(ids) > 0
-        if not present.all():
-            ids = (np.cumsum(present) - 1)[ids]
-        return ids, int(present.sum())
-    distinct, ids = np.unique(ids, return_inverse=True)
-    return ids, len(distinct)
 
 
 def independence_test(y, e, method="chi2"):
@@ -238,31 +226,3 @@ def stratified_tests(counts, method="gtest"):
         _result_from(stat[a:b].sum(), n_dof)
         for a, b, n_dof in zip(starts.tolist(), ends.tolist(), dofs.tolist())
     ]
-
-
-def joint_strata(features, feature_indices):
-    """Stratum ids from the joint value of binary feature columns.
-
-    An empty index set yields a single all-zero stratum, which reduces the
-    conditional G-test to the unconditional one. An index that is negative,
-    not below the column count, or repeated raises DataError.
-    """
-    features = np.asarray(features)
-    cols = sorted(feature_indices)
-    if not cols:
-        return np.zeros(features.shape[0], dtype=np.int64)
-    d = features.shape[1]
-    if cols[0] < 0 or cols[-1] >= d or len(set(cols)) < len(cols):
-        raise DataError(
-            f"feature indices must be distinct columns of {d}-column data, "
-            f"got {cols}"
-        )
-    if len(cols) > 62:
-        raise DataError(f"cannot pack {len(cols)} features into stratum ids")
-    weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)
-    if len(cols) <= 24:
-        # float32 sums of distinct powers of two below 2**24 are exact, and
-        # a float32 product is two to three times faster than an int64 one
-        packed = features[:, cols].astype(np.float32) @ weights.astype(np.float32)
-        return packed.astype(np.int64)
-    return features[:, cols].astype(np.int64) @ weights

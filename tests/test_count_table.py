@@ -4,9 +4,8 @@ and scm, icscm and pruning on it against the sample-level references."""
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from rulecover import icp
+from rulecover._kernels import _KEYS_PER_SAMPLE, _count_table
 from rulecover.data import Conjunction, Dataset, Rule, candidate_rules
-from rulecover.icp import _count_table
 from rulecover.icscm import IcscmConfig, icscm_fit, prune
 from rulecover.scm import ScmConfig, scm_fit
 from rulecover.stats import conditional_gtest, joint_strata
@@ -36,7 +35,7 @@ def _dataset(shape, n_patterns, env_ids, seed):
     labels = rng.integers(0, 2, m, dtype=np.uint8)
     dataset = Dataset(features=features, labels=labels, envs=envs)
     k = len(env_ids)
-    assert (2**d * 2 * k <= icp._KEYS_PER_SAMPLE * m) == (shape == "narrow")
+    assert (2**d * 2 * k <= _KEYS_PER_SAMPLE * m) == (shape == "narrow")
     return dataset
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rulecover import harness, icp
+from rulecover.data import Conjunction, Rule
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import (
     ExperimentGrid,
@@ -13,11 +15,12 @@ from rulecover.harness import (
     run_identification,
     run_runtime_benchmark,
     summarize,
+    write_manifest,
 )
 from rulecover.icp import IcpConfig
-from rulecover.icscm import IcscmConfig
+from rulecover.icscm import IcscmConfig, prune
 from rulecover.scm import ScmConfig
-from rulecover.simulator import SimConfig
+from rulecover.simulator import SimConfig, simulate
 
 from conftest import no_enumeration
 
@@ -97,6 +100,106 @@ def test_integer_settings_refuse_non_integers(config, name, value):
 def test_integer_settings_store_numpy_integers_as_int(config, name):
     value = getattr(config(**{name: np.int64(2)}), name)
     assert value == 2 and type(value) is int
+
+
+def _prune_alpha(alpha):
+    dataset, _ = simulate(SimConfig(n_samples_per_env=50, n_distractors=1))
+    return prune(Conjunction(rules=(Rule(0, 1),)), dataset, alpha)
+
+
+# What a float setting refuses (10**400 is beyond every float), and a bool
+# setting's counterparts: 1 stands in for True, a bool setting's own value.
+NOT_REAL = ("0.5", True, None, math.nan, 10**400)
+NOT_BOOL = ("0.5", 1, None, math.nan)
+# setting: (its name in the message, the setting built from a value, refused)
+REAL_AND_BOOL_SETTINGS = {
+    "ScmConfig.p": ("p", lambda v: ScmConfig(p=v), NOT_REAL),
+    "IcscmConfig.alpha": ("alpha", lambda v: IcscmConfig(alpha=v), NOT_REAL),
+    "IcscmConfig.prune": ("prune", lambda v: IcscmConfig(prune=v), NOT_BOOL),
+    "IcpConfig.alpha": ("alpha", lambda v: IcpConfig(alpha=v), NOT_REAL),
+    "SimConfig.eps_y": ("eps_y", lambda v: SimConfig(eps_y=v), NOT_REAL),
+    "SimConfig.eps_child": ("eps_child", lambda v: SimConfig(eps_child=v), NOT_REAL),
+    "SimConfig.eps_distractor": (
+        "eps_distractor", lambda v: SimConfig(eps_distractor=v), NOT_REAL
+    ),
+    "SimConfig.parent_probs": (
+        "parent_probs entry",
+        lambda v: SimConfig(parent_probs=((0.1, v), (0.5, 0.3))),
+        NOT_REAL,
+    ),
+    "prune.alpha": ("alpha", _prune_alpha, NOT_REAL),
+    "ExperimentGrid.record_timings": (
+        "record_timings", lambda v: ExperimentGrid(record_timings=v), NOT_BOOL
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        pytest.param(setting, value, id=f"{setting}={value!r:.12}")
+        for setting, (_, _, refused) in REAL_AND_BOOL_SETTINGS.items()
+        for value in refused
+        # refused before, with the message tests/test_cli.py pins
+        if (setting, value) != ("ScmConfig.p", math.nan)
+    ],
+)
+def test_float_and_bool_settings_refuse_what_they_cannot_use(setting, value):
+    # unchecked, "0.5" and None failed with a TypeError or were read as
+    # truthy, True passed as 1.0, NaN and 1 passed the bool settings, and
+    # p = 10**400 was stored as an int
+    name, make, _ = REAL_AND_BOOL_SETTINGS[setting]
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        make(value)
+
+
+def test_float_and_bool_settings_store_python_types_for_the_manifest(tmp_path):
+    # a numpy float32 or bool_ would fail json, and float64 stayed numpy
+    grid = _small_grid(
+        base_sim=SimConfig(
+            n_samples_per_env=800,
+            eps_y=np.float32(0.25),
+            parent_probs=((np.float32(0.5), 0.5), (np.float64(0.5), 0.25)),
+        ),
+        scm_config=ScmConfig(p=np.float64(2.0)),
+        icscm_config=IcscmConfig(alpha=np.float32(0.125), prune=np.bool_(False)),
+        icp_config=IcpConfig(alpha=np.float64(0.1)),
+        record_timings=np.bool_(False),
+    )
+    stored = [
+        grid.base_sim.eps_y,
+        *grid.base_sim.parent_probs[0],
+        *grid.base_sim.parent_probs[1],
+        grid.scm_config.p,
+        grid.icscm_config.alpha,
+        grid.icp_config.alpha,
+    ]
+    assert [type(v) for v in stored] == [float] * len(stored)
+    assert type(grid.icscm_config.prune) is bool and type(grid.record_timings) is bool
+    doc = json.loads(write_manifest(grid, tmp_path).read_text())
+    assert doc["base_sim"]["eps_y"] == 0.25
+    assert doc["base_sim"]["parent_probs"] == [[0.5, 0.5], [0.5, 0.25]]
+    assert doc["scm_config"]["p"] == 2.0
+    assert doc["icscm_config"]["alpha"] == 0.125
+    assert doc["icscm_config"]["prune"] is False
+    assert doc["icp_config"]["alpha"] == 0.1
+    assert doc["record_timings"] is False
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("base_sim", None),
+        ("scm_config", IcpConfig()),
+        ("icscm_config", ScmConfig()),
+        ("icp_config", ScmConfig()),
+    ],
+)
+def test_grid_refuses_a_nested_config_of_another_class(name, value):
+    # unchecked, None failed with an AttributeError here and the others
+    # with one inside the first cell
+    with pytest.raises(ConfigError, match=f"^{name} must be a "):
+        ExperimentGrid(**{name: value})
 
 
 @pytest.mark.parametrize("methods", [("scm", "scm"), ("scm", "icp", "scm")])

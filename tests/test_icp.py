@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rulecover import icp
+from rulecover import _kernels, icp
 from rulecover.data import Dataset
 from rulecover.errors import ConfigError, InfeasibleError
 from rulecover.harness import derive_run_seed
@@ -203,7 +203,7 @@ def _wide_repeated_rows_dataset():
         labels=rng.integers(0, 2, m, dtype=np.uint8),
         envs=rng.integers(0, 2, m),
     )
-    assert len(icp._count_table(dataset, sort_wide=True)[0]) == 40
+    assert len(_kernels._count_table(dataset, sort_wide=True)[0]) == 40
     return dataset, 1
 
 
@@ -270,11 +270,11 @@ def test_level_scan_matches_per_subset_reference(
             assert icp_report(dataset, config) == _reference_report(dataset, config)
 
 
-def _count_calls(monkeypatch, names):
+def _count_calls(monkeypatch, module, names):
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        original = getattr(icp, name)
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -283,7 +283,7 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(icp, name, counted(name))
+        monkeypatch.setattr(module, name, counted(name))
     return calls
 
 
@@ -292,7 +292,9 @@ def test_dense_levels_count_the_data_once(monkeypatch):
     # one joint_strata call numbers the rows, the one subset of size 8 seeds
     # the held chain, and every smaller size is summed from the size above
     dataset = _independent_dataset(seed=4, m=4000, d=8)
-    calls = _count_calls(monkeypatch, ("joint_strata", "_subset_counts"))
+    calls = _count_calls(
+        monkeypatch, _kernels, ("joint_strata", "_subset_counts")
+    )
     config = IcpConfig(min_samples_per_cell=0)
     report = icp_report(dataset, config)
     assert calls == {"joint_strata": 2, "_subset_counts": 1}
@@ -305,7 +307,9 @@ def test_guarded_top_size_seeds_the_held_chain(monkeypatch):
     # 4000 < 10 * 2 * 2 * 2**7 samples: the guard makes size 6 the largest
     # tested, so its C(8, 6) = 28 subsets seed the chain, one count each
     dataset = _independent_dataset(seed=4, m=4000, d=8)
-    calls = _count_calls(monkeypatch, ("joint_strata", "_subset_counts"))
+    calls = _count_calls(
+        monkeypatch, _kernels, ("joint_strata", "_subset_counts")
+    )
     config = IcpConfig(min_samples_per_cell=10)
     report = icp_report(dataset, config)
     assert calls == {"joint_strata": 29, "_subset_counts": 28}
@@ -318,7 +322,7 @@ def test_each_size_is_enumerated_once(monkeypatch, max_size):
     # one combinations call per size from max_size down to 0, the sizes the
     # guard skips (7 and 8 here) included
     dataset = _independent_dataset(seed=4, m=4000, d=8)
-    calls = _count_calls(monkeypatch, ("combinations",))
+    calls = _count_calls(monkeypatch, icp, ("combinations",))
     config = IcpConfig(max_subset_size=max_size, min_samples_per_cell=10)
     report = icp_report(dataset, config)
     assert calls == {"combinations": (8 if max_size is None else max_size) + 1}

@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rulecover
 from rulecover import _kernels as kernels
+from rulecover import stats
 from rulecover.data import Rule
 
 from conftest import evaluate
@@ -145,3 +150,16 @@ def test_non_contiguous_inputs_are_coerced():
         assert np.array_equal(
             got, _brute_leaf_counts(view, y[::2], e[::2], n_env, rules)
         )
+
+
+def test_fits_and_tests_count_through_kernels_not_the_icp_baseline():
+    # the count table and its helpers live in _kernels: the greedy learners
+    # and the tests import nothing from the exhaustive baseline, and every
+    # name for joint_strata is the one function
+    package = Path(rulecover.__file__).parent
+    for module in ("scm.py", "icscm.py", "stats.py"):
+        for node in ast.walk(ast.parse((package / module).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module] + [alias.name for alias in node.names]
+                assert "icp" not in imported, f"{module} imports from icp"
+    assert rulecover.joint_strata is stats.joint_strata is kernels.joint_strata

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from rulecover._kernels import _count_table
 from rulecover.data import Dataset, Rule, StopReason, candidate_rules
 from rulecover.errors import ConfigError, DataError
-from rulecover.icp import _count_table
 from rulecover.icscm import IcscmConfig, icscm_fit
 from rulecover import scm as scm_module
 from rulecover.scm import ScmConfig, scm_fit

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rulecover import stats
 from rulecover.errors import DataError
+from rulecover._kernels import _dense_ids
 from rulecover.stats import (
-    _dense_ids,
     _label_env_counts,
     _result_from,
     chi2_sf,
