@@ -3,17 +3,15 @@
 The data is read once, by ``_count_table``, the builder every fit and ICP
 use: it gives each of the R distinct feature rows a (label, environment)
 table of counts, (R, 2, k) int64 (cached sufficient statistics, Moore & Lee,
-JAIR 1998). When the (row, label, env) key space 2**d * 2k is at most
-``_KEYS_PER_SAMPLE`` keys per sample, one bincount over the rows packed by
-``joint_strata`` makes the table, with no sort; on a wider key space the
-distinct rows are found by sorting, or every sample is its own row. The
-greedy fits sum every stump's leaf table from it
+JAIR 1998). The greedy fits sum every stump's leaf table from it
 (``leaf_label_env_counts``); ICP and icscm's pruning sum each subset's
 strata (``_subset_counts``), and ICP sums a held level from the level above
-(``_marginal_level_counts``). Env ids and occupied strata are numbered by
-``_dense_ids``, as in the sample-level tests, whose tables
-``stratified_label_env_counts`` counts.
+(``_marginal_level_counts``). Rows of up to 62 features, strata and env ids
+are numbered by ``_dense_ids``, which returns the ids it numbered, so this
+module alone decides which strata a table holds; callers index by key.
 """
+
+import operator
 
 import numpy as np
 
@@ -21,9 +19,6 @@ from .errors import DataError
 
 # Recorded in experiment manifests and benchmark records.
 BACKEND = "python"
-# The data is compressed to its distinct rows by one bincount when the
-# (row, label, env) key space is at most this many keys per sample.
-_KEYS_PER_SAMPLE = 2
 
 
 def leaf_label_env_counts(rows, counts, index, value):
@@ -92,27 +87,19 @@ def _count_table(dataset, sort_wide, pool_envs=False):
     numbered densely in ascending order. ``pool_envs`` counts every sample
     in one environment (k = 1), for a fit that never reads env ids.
 
-    When the key space of (row, label, env) is at most
-    ``_KEYS_PER_SAMPLE`` times the sample count, one bincount over the
-    packed rows counts it and the occupied rows are kept in ascending
-    packed order, with no sort. On a wider key space, ``sort_wide`` finds
-    the distinct rows by sorting (same rows, same order); otherwise every
-    sample is its own row, with a count of 1.
+    The distinct rows are found by ``_distinct_rows``, in ascending packed
+    key, when ``sort_wide`` is set or the 2**d keys are at most the sample
+    count (``_dense_ids`` then needs no sort); otherwise every sample is its
+    own row, with a count of 1.
     """
     features = dataset.features
     m, d = features.shape
     if pool_envs:
         envs, k = np.zeros(m, dtype=np.int64), 1
     else:
-        envs, k = _dense_ids(dataset.envs)
-    if 2**d * 2 * k <= _KEYS_PER_SAMPLE * m:
-        keys = joint_strata(features, range(d))
-        counts = stratified_label_env_counts(
-            keys, 2**d, dataset.labels, envs, k
-        )
-        occupied = np.flatnonzero(np.bincount(keys, minlength=2**d))
-        return _unpack_keys(occupied, d), np.take(counts, occupied, axis=0)
-    if sort_wide:
+        envs, env_ids = _dense_ids(dataset.envs)
+        k = len(env_ids)
+    if sort_wide or 2**d <= m:
         rows, row_ids = _distinct_rows(features)
     else:
         rows, row_ids = features, np.arange(m)
@@ -130,31 +117,32 @@ def _unpack_keys(keys, width):
 
 
 def _distinct_rows(features):
-    """The distinct rows of a 0/1 matrix, and the index into them of every
-    sample. Rows of up to 62 features are keyed by one packed integer, wider
-    rows by their packed bytes."""
+    """The distinct rows of a 0/1 matrix in ascending key, and the index
+    into them of every sample. Rows of up to 62 features are keyed by one
+    packed integer and numbered by ``_dense_ids``, wider rows by their
+    packed bytes."""
     d = features.shape[1]
     if d <= 62:
-        keys = joint_strata(features, range(d))
-    else:
-        packed = np.packbits(features, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        row_ids, keys = _dense_ids(joint_strata(features, range(d)))
+        return _unpack_keys(keys, d), row_ids
+    packed = np.packbits(features, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, row_ids = np.unique(keys, return_index=True, return_inverse=True)
     return features[first], row_ids
 
 
 def _subset_counts(table, rows, subset):
-    """(n_strata, width) counts of the strata of ``subset`` in ascending
-    stratum id as ``joint_strata`` packs it, summed from the per-row
+    """The strata of ``subset`` as ``joint_strata`` packs them, in ascending
+    key, and their (n_strata, width) counts summed from the per-row
     ``table``: all 2**|S| strata when they are at most the distinct rows,
     else only the occupied ones, numbered by ``_dense_ids``."""
     strata = joint_strata(rows, subset)
     if 2 ** len(subset) <= len(rows):
-        n_strata = 2 ** len(subset)
+        keys = np.arange(2 ** len(subset))
     else:
-        strata, n_strata = _dense_ids(strata)
-    return np.stack(
-        [np.bincount(strata, weights=cell, minlength=n_strata) for cell in table.T],
+        strata, keys = _dense_ids(strata)
+    return keys, np.stack(
+        [np.bincount(strata, weights=cell, minlength=len(keys)) for cell in table.T],
         axis=1,
     )
 
@@ -186,29 +174,35 @@ def _marginal_level_counts(parents, parent_subsets, subsets):
 
 
 def _dense_ids(ids):
-    """Integer ids numbered densely in ascending order, and how many
-    distinct ones there are: the numbering of ``np.unique(ids,
-    return_inverse=True)``. Non-negative ids below their count are numbered
-    through a table of the ids present, so memory stays bounded by the data;
-    any other ids (negative, or not below their count) are sorted."""
+    """Integer ids numbered densely in ascending order, and the distinct ids
+    they number: ``np.unique(ids, return_inverse=True)`` in reverse order.
+    Non-negative ids below their count are numbered through a table of the
+    ids present, so memory stays bounded by the data; any other ids
+    (negative, or not below their count) are sorted."""
     if ids.min() >= 0 and ids.max() < len(ids):
         present = np.bincount(ids) > 0
         if not present.all():
             ids = (np.cumsum(present) - 1)[ids]
-        return ids, int(present.sum())
+        return ids, np.flatnonzero(present)
     distinct, ids = np.unique(ids, return_inverse=True)
-    return ids, len(distinct)
+    return ids, distinct
 
 
 def joint_strata(features, feature_indices):
     """Stratum ids from the joint value of binary feature columns.
 
     An empty index set yields a single all-zero stratum, which reduces the
-    conditional G-test to the unconditional one. An index that is negative,
-    not below the column count, or repeated raises DataError.
+    conditional G-test to the unconditional one. An index that is not an
+    integer (as ``Rule`` checks it), negative, not below the column count, or
+    repeated raises DataError.
     """
     features = np.asarray(features)
-    cols = sorted(feature_indices)
+    try:
+        cols = sorted(map(operator.index, feature_indices))
+    except TypeError:
+        raise DataError(
+            f"feature indices must be integers, got {feature_indices!r}"
+        ) from None
     if not cols:
         return np.zeros(features.shape[0], dtype=np.int64)
     d = features.shape[1]

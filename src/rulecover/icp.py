@@ -10,22 +10,21 @@ The data is read once, as ``_kernels``' count table: each distinct feature
 row with its (label, environment) counts. Every subset's table is summed
 from it (``_subset_counts``, which pruning in icscm.py shares), in one scan
 over the sizes s from the largest tested size down to 0. Each size is
-decided, scored and recorded in that scan, and takes one of four branches.
+decided, scored and recorded in that scan, and takes one of three branches.
 With k environments:
 
 - With fewer than ``min_samples_per_cell`` samples per cell of a size-s
   table's 2k * 2**s cells, the size is skipped and each of its subsets is
   recorded untested (p = 1, degenerate); only the largest sizes can be.
-- If 2**s <= R and the level's C(d, s) * 2**s tables of 2k cells fit in
-  ``_LEVEL_CELLS``, the level is held whole. It is summed from the held level
-  above when there is one (a subset's table is a marginal of its parent's,
-  the subset plus its smallest missing column): O(2**s) per subset. The
-  first held level of a scan is counted subset by subset over the distinct
-  rows: O(R) per subset. A held level is scored a block of subsets at a
-  time, with a fixed handful of numpy calls per block.
-- Otherwise (2**s > R, or the level does not fit) each subset is counted and
-  scored on its own over the distinct rows, numbering only its occupied
-  strata when 2**s > R: O(R) time and memory per subset.
+- If the level's C(d, s) * 2**s tables of 2k cells fit in ``_LEVEL_CELLS``,
+  the level is held whole. It is summed from the held level above when there
+  is one (a subset's table is a marginal of its parent's, the subset plus
+  its smallest missing column): O(2**s) per subset. The first held level of
+  a scan is counted subset by subset over the distinct rows, O(R) per
+  subset, each subset's strata placed by their keys. A held level is scored
+  a block of subsets at a time, with a fixed handful of numpy calls per block.
+- Otherwise each subset is counted and scored on its own over the distinct
+  rows, in the strata ``_subset_counts`` holds: O(R) time and memory.
 
 Memory is O(R) per subset counted on its own. A held level takes at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
@@ -136,16 +135,17 @@ def icp_report(dataset, config):
         # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
         if dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**size:
             results = [_UNTESTED] * len(subsets)
-        elif 2**size > len(rows) or len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
+        elif len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
             held, results = None, []
             for subset in subsets:
-                counts = kernels._subset_counts(table, rows, subset)
+                _, counts = kernels._subset_counts(table, rows, subset)
                 results += stratified_tests(counts.reshape(1, -1, 2, k))
         else:
             if held is None:
-                held = np.empty((len(subsets), 2**size, 2 * k))
+                held = np.zeros((len(subsets), 2**size, 2 * k))
                 for i, subset in enumerate(subsets):
-                    held[i] = kernels._subset_counts(table, rows, subset)
+                    keys, counts = kernels._subset_counts(table, rows, subset)
+                    held[i, keys] = counts
             else:
                 held = kernels._marginal_level_counts(held, held_subsets, subsets)
             held_subsets, results = subsets, []

@@ -126,13 +126,10 @@ def prune(model, dataset, alpha, table=None):
     k = counts.shape[2]
     flat = counts.reshape(len(rows), 2 * k).astype(np.float64)
     # Every test conditions on some of the model's features, so the table is
-    # first summed over their 2**f joint values when those are fewer rows.
+    # first summed over their strata, each a row of the model's columns.
     columns = sorted(model.feature_indices())
-    if 2 ** len(columns) <= len(rows):
-        flat = kernels._subset_counts(flat, rows, columns)
-        rows = kernels._unpack_keys(np.arange(2 ** len(columns)), len(columns))
-    else:
-        rows = rows[:, columns]
+    keys, flat = kernels._subset_counts(flat, rows, columns)
+    rows = kernels._unpack_keys(keys, len(columns))
     position = {feature: i for i, feature in enumerate(columns)}
     rules = list(model.rules)
     removed = True
@@ -142,7 +139,7 @@ def prune(model, dataset, alpha, table=None):
             remaining = {
                 position[r.feature_index] for j, r in enumerate(rules) if j != idx
             }
-            strata = kernels._subset_counts(flat, rows, remaining)
+            _, strata = kernels._subset_counts(flat, rows, remaining)
             result = stratified_tests(strata.reshape(1, -1, 2, k))[0]
             if result.p_value > alpha:
                 del rules[idx]

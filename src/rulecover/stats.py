@@ -8,6 +8,8 @@ and the exhaustive-subset baseline. Every one of these tests is scored by
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +80,17 @@ def chi2_sf(x, dof):
     """Survival function of the chi-square distribution,
     1 - P(dof/2, x/2) with P the regularized lower incomplete gamma.
 
-    Raises ArithmeticError if the expansion fails to converge.
+    Raises ArithmeticError if the expansion fails to converge, and
+    DataError for a non-real or negative statistic or a non-integer dof.
     """
+    # float (np.float64 too) first: the numbers.Real check alone costs ~1 us
+    if not isinstance(x, (float, numbers.Real)) or not math.isfinite(x) or x < 0.0:
+        raise DataError(f"chi2_sf needs a finite non-negative statistic, got {x!r}")
     x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DataError(f"chi2_sf needs a finite non-negative statistic, got {x}")
-    dof = int(dof)
+    try:
+        dof = operator.index(dof)
+    except TypeError:
+        raise DataError(f"chi2_sf needs an integer dof, got {dof!r}") from None
     if dof < 1:
         raise DataError(f"chi2_sf needs dof >= 1, got {dof}")
     a = dof / 2.0
@@ -170,9 +177,9 @@ def _label_env_counts(y, e, strata=None):
         raise DataError("need at least one sample")
     if y.min() < 0 or y.max() > 1:
         raise DataError("labels must be 0/1 valued")
-    e, n_env = kernels._dense_ids(e)
-    strata, n_strata = kernels._dense_ids(strata)
-    return kernels.stratified_label_env_counts(strata, n_strata, y, e, n_env)
+    e, env_ids = kernels._dense_ids(e)
+    strata, keys = kernels._dense_ids(strata)
+    return kernels.stratified_label_env_counts(strata, len(keys), y, e, len(env_ids))
 
 
 def independence_test(y, e, method="chi2"):

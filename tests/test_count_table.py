@@ -4,7 +4,7 @@ and scm, icscm and pruning on it against the sample-level references."""
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from rulecover._kernels import _KEYS_PER_SAMPLE, _count_table
+from rulecover._kernels import _count_table
 from rulecover.data import Conjunction, Dataset, Rule, candidate_rules
 from rulecover.icscm import IcscmConfig, icscm_fit, prune
 from rulecover.scm import ScmConfig, scm_fit
@@ -17,9 +17,10 @@ SPARSE_IDS = [0, 1, 7, 10**6, 10**12]
 
 def _dataset(shape, n_patterns, env_ids, seed):
     """Random data whose shape picks the builder's branch: "narrow" (few
-    features, many samples) has a (row, label, env) key space within the
-    bincount bound, "wide" (many features, few samples) beyond it. With
-    ``n_patterns`` every row is one of a few, so rows repeat."""
+    features, many samples) has at most as many row keys as samples, so the
+    builder always finds its distinct rows; "wide" (many features, few
+    samples) has more. With ``n_patterns`` every row is one of a few, so rows
+    repeat."""
     rng = np.random.default_rng(seed)
     if shape == "narrow":
         d, m = int(rng.integers(1, 4)), int(rng.integers(60, 301))
@@ -34,8 +35,7 @@ def _dataset(shape, n_patterns, env_ids, seed):
     envs[: len(env_ids)] = env_ids
     labels = rng.integers(0, 2, m, dtype=np.uint8)
     dataset = Dataset(features=features, labels=labels, envs=envs)
-    k = len(env_ids)
-    assert (2**d * 2 * k <= _KEYS_PER_SAMPLE * m) == (shape == "narrow")
+    assert (2**d <= m) == (shape == "narrow")
     return dataset
 
 
@@ -63,8 +63,8 @@ def _brute_count_table(dataset):
 def test_builder_matches_brute_force_count(shape, n_patterns, env_ids, seed):
     dataset = _dataset(shape, n_patterns, env_ids, seed)
     want_rows, want_counts = _brute_count_table(dataset)
-    # narrow data is counted by one bincount, wide data sorted; both
-    # compress to the distinct rows
+    # narrow rows are numbered through a table of the keys present, wide
+    # rows sorted; both compress to the distinct rows
     rows, counts = _count_table(dataset, sort_wide=True)
     assert rows.dtype == np.uint8 and counts.dtype == np.int64
     assert np.array_equal(rows, want_rows)

@@ -218,6 +218,12 @@ REFERENCE_CASES = {
     "d25_capped": lambda: _wide_dataset(25),
     "d70_capped": lambda: _wide_dataset(70),
     "d70_repeated_rows": _wide_repeated_rows_dataset,
+    # d = 12 over m = 200 samples: every size from 8 up has more strata than
+    # distinct rows, and is held with its unoccupied strata at 0
+    "sparse_rows_held": lambda: (
+        simulate(SimConfig(n_distractors=9, n_samples_per_env=100))[0],
+        None,
+    ),
 }
 
 
@@ -243,7 +249,8 @@ def test_level_scan_matches_per_subset_reference(
     d, m, env_ids, min_cell, max_size, budgets, n_patterns, seed
 ):
     # n_patterns draws every row from a few distinct rows, so sizes with more
-    # possible strata than rows are scored subset by subset; the budgets
+    # possible strata than rows are held with unoccupied strata at 0, or
+    # counted subset by subset in their occupied strata; the budgets
     # (level, block) hold only small levels, seeding the held chain low in
     # the scan, and score one subset per block at (64, 1), and force the
     # per-subset path at every size at (0, 16)

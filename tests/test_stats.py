@@ -86,6 +86,18 @@ class TestChi2Sf:
         with pytest.raises(DataError):
             chi2_sf(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "x, dof",
+        [(3.0, 2.7), (3.0, 2.0), (3.0, "2"), (3.0, None), ("3.0", 2), (None, 2)],
+        ids=["dof 2.7", "dof 2.0", "dof '2'", "dof None", "x '3.0'", "x None"],
+    )
+    def test_non_integer_dof_and_non_real_statistic_are_refused(self, x, dof):
+        # 2.7 was truncated to dof 2, and "3.0" parsed as a statistic
+        with pytest.raises(DataError, match="chi2_sf needs"):
+            chi2_sf(x, dof)
+        # integer and real numpy scalars are taken as they are
+        assert chi2_sf(np.float64(3.0), np.int64(2)) == chi2_sf(3.0, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(0.0, 500.0),
@@ -292,8 +304,8 @@ _ID_LISTS = st.one_of(
 def test_dense_ids_number_as_unique(ids):
     ids = np.array(ids, dtype=np.int64)
     distinct, expected = np.unique(ids, return_inverse=True)
-    dense, n_distinct = _dense_ids(ids)
-    assert n_distinct == len(distinct)
+    dense, numbered = _dense_ids(ids)
+    assert numbered.tolist() == distinct.tolist()
     assert dense.tolist() == expected.tolist()
 
 
@@ -344,6 +356,18 @@ def test_joint_strata_packs_bits():
         assert joint_strata(X, cols).tolist() == packed
     with pytest.raises(DataError, match="cannot pack 63 features"):
         joint_strata(wide, range(63))
+
+
+@pytest.mark.parametrize(
+    "columns", [[0.0], [1.5], [np.float64(1)], ["1"], [None], [0, 1.0]]
+)
+def test_joint_strata_refuses_non_integer_columns(columns):
+    # floats failed in numpy's indexing, "1" and None in sorting or packing
+    X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(DataError, match="feature indices must be integers"):
+        joint_strata(X, columns)
+    # what operator.index takes, numpy integers included, is a column
+    assert joint_strata(X, [np.int64(1)]).tolist() == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("columns", [[-1], [2], [5], [1, 1], [0, 1, 0]])
