@@ -140,14 +140,16 @@ class FitReport:
 
 def _exact_cast(values, dtype, message):
     """``values`` as a contiguous ``dtype`` array, refusing any value the cast
-    would change (fractions, NaN, or integers out of the dtype's range)."""
+    would change (fractions, NaN, or integers out of the dtype's range). A
+    safe cast (``np.can_cast``) changes no value, so it skips the check and
+    its full-size comparison."""
     try:
         raw = np.asarray(values)
         with np.errstate(invalid="ignore"):
             out = np.ascontiguousarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise DataError(message) from None
-    if not np.array_equal(out, raw):
+    if not np.can_cast(raw.dtype, dtype) and not np.array_equal(out, raw):
         raise DataError(message)
     return out
 
@@ -240,6 +242,8 @@ _LF = ord("\n")
 _ZERO = ord("0")
 _MAX_FAST_DIGITS = 18  # every 18-digit id is below 2**63, so needs no range check
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+# CSV text formatted or parsed at a time; a chunk holds at least one line
+_CSV_CHUNK_BYTES = 1 << 20
 
 
 def _csv_header(d):
@@ -251,19 +255,40 @@ def save_dataset_csv(dataset, path):
     per row, ASCII digits, LF line endings; ``load_dataset_csv`` reads it back
     as a byte matrix when every env id has at most 18 digits.
 
-    The file is assembled in one uint8 buffer and written with one call: each
-    line's 0/1 fields and commas are scattered as a fixed-width block, and the
-    env ids' digits once per digit count."""
+    Rows are formatted and written in chunks of about ``_CSV_CHUNK_BYTES`` of
+    text, so the memory held beyond the dataset stays near two chunks
+    whatever the dataset's size."""
     features, labels, envs = dataset.features, dataset.labels, dataset.envs
     m, d = features.shape
+    longest = 2 * d + 3 + _digit_counts(envs.max())
+    step = _csv_chunk_rows(int(longest))
+    with open(path, "wb") as fh:
+        fh.write(_csv_header(d).encode("ascii"))
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            fh.write(memoryview(_csv_lines(features[rows], labels[rows], envs[rows])))
+
+
+def _digit_counts(envs):
+    """The number of decimal digits of each non-negative env id."""
+    return np.searchsorted(_POW10[1:], envs, side="right") + 1
+
+
+def _csv_chunk_rows(line_bytes):
+    """Rows per chunk when no line is longer than ``line_bytes``."""
+    return max(1, _CSV_CHUNK_BYTES // line_bytes)
+
+
+def _csv_lines(features, labels, envs):
+    """The canonical CSV lines of some rows, as one uint8 buffer: each line's
+    0/1 fields and commas are scattered as a fixed-width block, and the env
+    ids' digits once per digit count."""
+    m, d = features.shape
     fixed = 2 * d + 2
-    header = _csv_header(d).encode("ascii")
-    widths = np.searchsorted(_POW10[1:], envs, side="right") + 1
-    lengths = widths + (fixed + 1)
-    ends = np.cumsum(lengths) + len(header)
-    starts = ends - lengths
+    widths = _digit_counts(envs)
+    ends = np.cumsum(widths + (fixed + 1))
+    starts = ends - (widths + (fixed + 1))
     out = np.empty(int(ends[-1]), dtype=np.uint8)
-    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     block = np.full((m, fixed), ord(","), dtype=np.uint8)
     np.add(features, _ZERO, out=block[:, 0 : 2 * d : 2])
     np.add(labels, _ZERO, out=block[:, 2 * d])
@@ -274,8 +299,7 @@ def save_dataset_csv(dataset, path):
         digits = envs[rows, None] // _POW10[width - 1 :: -1] % 10 + _ZERO
         sliding_window_view(out, width, writeable=True)[starts[rows] + fixed] = digits
     out[ends - 1] = _LF
-    with open(path, "wb") as fh:
-        fh.write(memoryview(out))
+    return out
 
 
 def _csv_rows(fh, path):
@@ -292,36 +316,65 @@ def _csv_rows(fh, path):
 
 def _load_canonical(raw):
     """The Dataset in a file in exactly the layout ``save_dataset_csv`` writes,
-    with env ids of at most 18 digits, else None."""
+    with env ids of at most 18 digits, else None.
+
+    The row count is the number of LFs, so the feature matrix, labels and env
+    ids are allocated once. Each chunk of about ``_CSV_CHUNK_BYTES``, cut at a
+    line end, then has its line ends found, its layout checked and its env
+    ids parsed into them, so the memory held beyond the file and the dataset
+    stays near a few chunks."""
     cut = raw.find(b"\n") + 1
     d = raw.count(b",", 0, cut) - 1
     if d < 1 or raw[:cut] != _csv_header(d).encode("ascii"):
         return None
-    body = np.frombuffer(raw, dtype=np.uint8, offset=cut)
-    fixed = 2 * d + 2
-    if body.size == 0 or body[-1] != _LF:
+    if len(raw) == cut or raw[-1] != _LF:
         return None
-    ends = np.flatnonzero(body == _LF)
+    m = raw.count(b"\n", cut)
+    features = np.empty((m, d), dtype=np.uint8)
+    labels = np.empty(m, dtype=np.uint8)
+    envs = np.empty(m, dtype=np.int64)
+    data = np.frombuffer(raw, dtype=np.uint8)
+    row = 0
+    while cut < len(raw):
+        # the chunk runs to the end of the line holding its last byte
+        stop = raw.find(b"\n", min(cut + _CSV_CHUNK_BYTES, len(raw)) - 1) + 1
+        body = data[cut:stop]
+        ends = np.flatnonzero(body == _LF)
+        rows = slice(row, row + len(ends))
+        if not _parse_canonical_lines(
+            body, ends, features[rows], labels[rows], envs[rows]
+        ):
+            return None
+        row, cut = rows.stop, stop
+    return Dataset(features=features, labels=labels, envs=envs)
+
+
+def _parse_canonical_lines(body, ends, features, labels, envs):
+    """Fill ``features``, ``labels`` and ``envs`` from the LF-terminated lines
+    in ``body``, whose LFs sit at ``ends``; False if a line deviates from the
+    canonical layout."""
+    d = features.shape[1]
+    fixed = 2 * d + 2
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     widths = ends - starts - fixed
     if widths.min() < 1 or widths.max() > _MAX_FAST_DIGITS:
-        return None
+        return False
     # bytes below '0' wrap around to large values in the uint8 subtraction
     block = sliding_window_view(body, fixed)[starts]
-    bits = block[:, 0::2] - np.uint8(_ZERO)
-    if bits.max() > 1 or (block[:, 1::2] != ord(",")).any():
-        return None
-    envs = np.empty(len(ends), dtype=np.int64)
+    np.subtract(block[:, 0 : 2 * d : 2], np.uint8(_ZERO), out=features)
+    np.subtract(block[:, 2 * d], np.uint8(_ZERO), out=labels)
+    if features.max() > 1 or labels.max() > 1 or (block[:, 1::2] != ord(",")).any():
+        return False
     for width in np.flatnonzero(np.bincount(widths)).tolist():
         rows = np.flatnonzero(widths == width)
         digits = sliding_window_view(body, width)[starts[rows] + fixed]
         digits = digits - np.uint8(_ZERO)
         if digits.max() > 9:
-            return None
+            return False
         envs[rows] = digits @ _POW10[width - 1 :: -1]
-    return Dataset(features=bits[:, :d], labels=bits[:, d], envs=envs)
+    return True
 
 
 def _load_csv_module(raw, path):

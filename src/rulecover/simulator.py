@@ -8,6 +8,10 @@ parent marginals but never the labelling mechanism.
 
 Randomness comes from numpy's Philox counter-based generator, so streams are
 platform-stable and independent across harness seeds.
+
+``simulate`` allocates the dataset's arrays once and fills them in place,
+drawing the distractors in row chunks of at most 512 KiB of float64, so its
+peak memory is the dataset plus about that much at any size.
 """
 
 from dataclasses import asdict, dataclass
@@ -22,6 +26,9 @@ from .errors import ConfigError, _require_fields, _require_int_fields, _require_
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
 # jumps 0.1 -> 0.5 across environments while parent 2 drops 0.5 -> 0.3.
 DEFAULT_PARENT_PROBS = ((0.1, 0.5), (0.5, 0.3))
+
+# float64 draws per distractor chunk: 2**16 doubles is 512 KiB
+_DISTRACTOR_CHUNK_DOUBLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -87,30 +94,37 @@ def simulate(config):
 
     Column order: parent1, parent2, distractors..., child. Bit-identical
     output for identical configs.
+
+    The uint8 features, labels and env ids are allocated once and each
+    environment's rows are filled in place. Per environment the draws come in
+    the order parent1, parent2, flip, redirect, then the distractors row by
+    row, in chunks of ``_DISTRACTOR_CHUNK_DOUBLES // k`` rows (at least one),
+    so the float64 draws held at once stay near 512 KiB whatever the size.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_samples_per_env
     k = config.n_distractors
-    feature_blocks = []
-    label_blocks = []
-    env_blocks = []
+    m = config.n_envs * n
+    features = np.empty((m, k + 3), dtype=np.uint8)
+    labels = np.empty(m, dtype=np.uint8)
+    envs = np.repeat(np.arange(config.n_envs, dtype=np.int64), n)
+    step = max(1, _DISTRACTOR_CHUNK_DOUBLES // max(k, 1))
     for env in range(config.n_envs):
         p1, p2 = config.parent_probs[env]
+        rows = slice(env * n, (env + 1) * n)
+        env_rows = features[rows]
         parent1 = rng.random(n) < p1
         parent2 = rng.random(n) < p2
         flip = rng.random(n) < config.eps_y
         redirect = rng.random(n) < config.eps_child
-        distractors = rng.random((n, k)) < config.eps_distractor
+        for lo in range(0, n, step):
+            block = env_rows[lo : lo + step, 2 : 2 + k]
+            np.less(rng.random(block.shape), config.eps_distractor, out=block)
         label = (parent1 & parent2) ^ flip
-        child = np.where(redirect, min(env, 1), label)
-        block = np.empty((n, k + 3), dtype=np.uint8)
-        block[:, 0] = parent1
-        block[:, 1] = parent2
-        block[:, 2 : 2 + k] = distractors
-        block[:, 2 + k] = child
-        feature_blocks.append(block)
-        label_blocks.append(label.astype(np.uint8))
-        env_blocks.append(np.full(n, env, dtype=np.int64))
+        env_rows[:, 0] = parent1
+        env_rows[:, 1] = parent2
+        env_rows[:, 2 + k] = np.where(redirect, min(env, 1), label)
+        labels[rows] = label
 
     names = (
         ["parent_1", "parent_2"]
@@ -118,10 +132,7 @@ def simulate(config):
         + ["child"]
     )
     dataset = Dataset(
-        features=np.concatenate(feature_blocks, axis=0),
-        labels=np.concatenate(label_blocks),
-        envs=np.concatenate(env_blocks),
-        feature_names=tuple(names),
+        features=features, labels=labels, envs=envs, feature_names=tuple(names)
     )
     truth = GroundTruth(
         parent_indices=frozenset({0, 1}),

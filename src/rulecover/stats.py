@@ -84,7 +84,11 @@ def chi2_sf(x, dof):
     DataError for a non-real or negative statistic or a non-integer dof.
     """
     # float (np.float64 too) first: the numbers.Real check alone costs ~1 us
-    if not isinstance(x, (float, numbers.Real)) or not math.isfinite(x) or x < 0.0:
+    try:
+        bad = not isinstance(x, (float, numbers.Real)) or not math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        bad = True
+    if bad or x < 0.0:
         raise DataError(f"chi2_sf needs a finite non-negative statistic, got {x!r}")
     x = float(x)
     try:

@@ -5,6 +5,7 @@ import pytest
 
 from rulecover.data import Dataset, StopReason, _csv_rows
 from rulecover.errors import DataError
+from rulecover.simulator import GroundTruth
 from rulecover.stats import independence_test
 
 
@@ -92,6 +93,53 @@ def save_dataset_csv_reference(dataset, path):
         fh.write(header.encode("ascii"))
         for row, env in zip(body, dataset.envs.tolist()):
             fh.write(row.tobytes() + b"%d\n" % env)
+
+
+def simulate_reference(config):
+    """Whole-array reference for ``simulator.simulate``: each environment's
+    draws as full blocks (the distractors one float64 (n, k) draw), joined
+    with ``np.concatenate``."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    n = config.n_samples_per_env
+    k = config.n_distractors
+    feature_blocks = []
+    label_blocks = []
+    env_blocks = []
+    for env in range(config.n_envs):
+        p1, p2 = config.parent_probs[env]
+        parent1 = rng.random(n) < p1
+        parent2 = rng.random(n) < p2
+        flip = rng.random(n) < config.eps_y
+        redirect = rng.random(n) < config.eps_child
+        distractors = rng.random((n, k)) < config.eps_distractor
+        label = (parent1 & parent2) ^ flip
+        child = np.where(redirect, min(env, 1), label)
+        block = np.empty((n, k + 3), dtype=np.uint8)
+        block[:, 0] = parent1
+        block[:, 1] = parent2
+        block[:, 2 : 2 + k] = distractors
+        block[:, 2 + k] = child
+        feature_blocks.append(block)
+        label_blocks.append(label.astype(np.uint8))
+        env_blocks.append(np.full(n, env, dtype=np.int64))
+
+    names = (
+        ["parent_1", "parent_2"]
+        + [f"distractor_{i + 1}" for i in range(k)]
+        + ["child"]
+    )
+    dataset = Dataset(
+        features=np.concatenate(feature_blocks, axis=0),
+        labels=np.concatenate(label_blocks),
+        envs=np.concatenate(env_blocks),
+        feature_names=tuple(names),
+    )
+    truth = GroundTruth(
+        parent_indices=frozenset({0, 1}),
+        distractor_indices=frozenset(range(2, 2 + k)),
+        child_index=2 + k,
+    )
+    return dataset, truth
 
 
 def n_distinct_envs(dataset):

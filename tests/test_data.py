@@ -430,8 +430,7 @@ def test_loader_reads_exactly_the_canonical_files_from_bytes(scratch_csv, text):
 _CANONICAL = b"x0,x1,y,e\n0,1,1,7\n1,0,0,012\n1,1,0,999999999999999999\n"
 
 
-@pytest.mark.parametrize(
-    "raw",
+_NON_CANONICAL = (
     [
         _CANONICAL.replace(b"\n", b"\r\n"),
         _CANONICAL.replace(b"0,1,1,7", b'"0",1,1,7'),
@@ -453,8 +452,11 @@ _CANONICAL = b"x0,x1,y,e\n0,1,1,7\n1,0,0,012\n1,1,0,999999999999999999\n"
         _CANONICAL + row.replace(b"?", byte)
         for byte in (b"/", b":", b" ", b"\x00")
         for row in (b"?,0,1,7\n", b"0?0,1,7\n", b"0,0,1,?\n", b"0,0,1,1?\n")
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize("raw", _NON_CANONICAL)
 def test_loader_falls_back_to_csv_module_on_any_deviation(tmp_path, raw):
     path = tmp_path / "data.csv"
     path.write_bytes(_CANONICAL)
@@ -462,6 +464,52 @@ def test_loader_falls_back_to_csv_module_on_any_deviation(tmp_path, raw):
         patch.setattr(data, "_csv_rows", _refuse_csv_rows)
         load_dataset_csv(path)
         path.write_bytes(raw)
+        with pytest.raises(_FallbackReached):
+            load_dataset_csv(path)
+    assert _load_outcome(load_dataset_csv, path) == _load_outcome(
+        load_dataset_csv_reference, path
+    )
+
+
+# CSV chunks of one byte (one line each) and of 16 bytes (a line or two);
+# either way a file deviating in any line must still reach the csv module
+@pytest.mark.parametrize("chunk_bytes", [1, 16])
+@given(_csv_texts())
+def test_loader_reads_exactly_the_canonical_files_in_small_chunks(
+    scratch_csv, chunk_bytes, text
+):
+    check = test_loader_reads_exactly_the_canonical_files_from_bytes.hypothesis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_CSV_CHUNK_BYTES", chunk_bytes)
+        check.inner_test(scratch_csv, text)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 16])
+@pytest.mark.parametrize("raw", _NON_CANONICAL)
+def test_loader_falls_back_to_csv_module_in_small_chunks(
+    tmp_path, monkeypatch, raw, chunk_bytes
+):
+    monkeypatch.setattr(data, "_CSV_CHUNK_BYTES", chunk_bytes)
+    test_loader_falls_back_to_csv_module_on_any_deviation(tmp_path, raw)
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    [b"1,0,1,1:\n", b"1,2,1,7\n", b"1,01,7\n"],
+    ids=["bad digit", "bit 2", "missing comma"],
+)
+@pytest.mark.parametrize("chunk_bytes", [1, 40, 100])
+def test_loader_deviation_in_the_last_chunk_only(
+    tmp_path, monkeypatch, last_line, chunk_bytes
+):
+    lines = [b"%d,%d,%d,%d\n" % (i % 2, i // 2 % 2, i % 3 % 2, i) for i in range(30)]
+    head = b"x0,x1,y,e\n" + b"".join(lines)
+    assert len(head) > 2 * chunk_bytes  # the canonical lines span several chunks
+    path = tmp_path / "data.csv"
+    path.write_bytes(head + last_line)
+    monkeypatch.setattr(data, "_CSV_CHUNK_BYTES", chunk_bytes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csv_rows", _refuse_csv_rows)
         with pytest.raises(_FallbackReached):
             load_dataset_csv(path)
     assert _load_outcome(load_dataset_csv, path) == _load_outcome(
@@ -550,6 +598,30 @@ def test_csv_writer_matches_per_row_reference(scratch_csv, m, d, seed, env_ids):
     assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.array_equal(loaded.envs, ds.envs)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_ENV_EDGES) | st.integers(0, 2**63 - 1), min_size=1),
+)
+def test_csv_writer_in_small_chunks_matches_per_row_reference(
+    scratch_csv, chunk_rows, m, d, seed, env_ids
+):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(
+        features=rng.integers(0, 2, (m, d)),
+        labels=rng.integers(0, 2, m),
+        envs=[env_ids[i % len(env_ids)] for i in range(m)],
+    )
+    reference = scratch_csv.with_name("reference.csv")
+    save_dataset_csv_reference(ds, reference)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csv_chunk_rows", lambda line_bytes: chunk_rows)
+        save_dataset_csv(ds, scratch_csv)
+    assert scratch_csv.read_bytes() == reference.read_bytes()
 
 
 def test_model_json_round_trip(tmp_path):

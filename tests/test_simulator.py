@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rulecover import simulator
 from rulecover.errors import ConfigError
 from rulecover.harness import derive_run_seed
 from rulecover.simulator import (
@@ -13,7 +15,7 @@ from rulecover.simulator import (
 from rulecover.stats import independence_test
 from rulecover.data import load_dataset_csv
 
-from conftest import n_distinct_envs
+from conftest import n_distinct_envs, simulate_reference
 
 
 def test_config_validation():
@@ -150,3 +152,54 @@ def test_save_simulation_round_trip(tmp_path):
     assert doc["ground_truth"]["parent_indices"] == [0, 1]
     assert doc["ground_truth"]["child_index"] == truth.child_index
     assert doc["sim_config"]["seed"] == 77
+
+
+def _assert_matches_reference(config):
+    dataset, truth = simulate(config)
+    expected, expected_truth = simulate_reference(config)
+    for name in ("features", "labels", "envs"):
+        got, want = getattr(dataset, name), getattr(expected, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert dataset.feature_names == expected.feature_names
+    assert truth == expected_truth
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+# None keeps the module's chunk; 1 and 3 draw the distractors 1 or 3 rows at a
+# time, so most configs end on a partial chunk
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@settings(max_examples=20, deadline=None)
+@given(
+    parent_probs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=3),
+    n=st.integers(1, 3000),
+    k=st.integers(0, 300),
+    eps=st.tuples(_UNIT, _UNIT, _UNIT),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_simulate_matches_whole_array_reference(
+    chunk_rows, parent_probs, n, k, eps, seed
+):
+    config = SimConfig(
+        n_envs=len(parent_probs),
+        n_samples_per_env=n,
+        n_distractors=k,
+        eps_y=eps[0],
+        eps_child=eps[1],
+        eps_distractor=eps[2],
+        parent_probs=tuple(parent_probs),
+        seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            doubles = chunk_rows * max(k, 1)
+            patch.setattr(simulator, "_DISTRACTOR_CHUNK_DOUBLES", doubles)
+        _assert_matches_reference(config)
+
+
+def test_simulate_wider_than_a_chunk_matches_whole_array_reference():
+    # more distractors than one chunk's doubles: one row per chunk
+    k = simulator._DISTRACTOR_CHUNK_DOUBLES + 7
+    _assert_matches_reference(SimConfig(n_samples_per_env=3, n_distractors=k, seed=5))

@@ -86,6 +86,12 @@ class TestChi2Sf:
         with pytest.raises(DataError):
             chi2_sf(1.0, 0)
 
+    @pytest.mark.parametrize("x", [10**400, -(10**400)])
+    def test_integer_beyond_float_range_is_refused(self, x):
+        # math.isfinite raised OverflowError on these
+        with pytest.raises(DataError, match="finite non-negative statistic"):
+            chi2_sf(x, 1)
+
     @pytest.mark.parametrize(
         "x, dof",
         [(3.0, 2.7), (3.0, 2.0), (3.0, "2"), (3.0, None), ("3.0", 2), (None, 2)],
