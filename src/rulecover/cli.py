@@ -17,7 +17,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .data import load_dataset_csv, load_model_json, save_model_json, write_json
+from .data import _MODEL_TYPES, load_dataset_csv, load_model_json, save_model_json
+from .data import write_json
 from .errors import ConfigError, DataError, InfeasibleError
 from .harness import (
     ExperimentGrid,
@@ -29,6 +30,7 @@ from .icp import IcpConfig, icp_report
 from .icscm import IcscmConfig, icscm_fit, prune
 from .scm import ScmConfig, scm_fit
 from .simulator import SimConfig, oracle_accuracy, save_simulation, simulate
+from .stats import _TEST_METHODS
 
 
 def parse_xb_sizes(text):
@@ -305,11 +307,10 @@ def build_parser():
     p.add_argument("--method", choices=("scm", "icscm"), default="icscm")
     _add_fit_hyper_flags(p)
     p.add_argument("--min-leaf", type=int)
-    p.add_argument("--test-method", choices=("chi2", "gtest"))
+    p.add_argument("--test-method", choices=_TEST_METHODS)
     p.add_argument("--prune", dest="prune", action="store_true", default=None)
     p.add_argument("--no-prune", dest="prune", action="store_false")
-    p.add_argument("--model-type", choices=("conjunction", "disjunction"),
-                   default="conjunction")
+    p.add_argument("--model-type", choices=_MODEL_TYPES, default="conjunction")
     p.add_argument("-o", "--out", default=None, help="model JSON path")
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_fit)

@@ -15,6 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
+# The model types a fit or a model document names, indexed by is_disjunction.
+_MODEL_TYPES = ("conjunction", "disjunction")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -71,7 +74,7 @@ class Conjunction:
 
     def to_dict(self, stop_reason=None):
         doc = {
-            "model_type": "disjunction" if self.is_disjunction else "conjunction",
+            "model_type": _MODEL_TYPES[bool(self.is_disjunction)],
             "rules": [asdict(rule) for rule in self.rules],
         }
         if stop_reason is not None:
@@ -94,9 +97,9 @@ class Conjunction:
                     f"integers, got {value!r}"
                 )
         rules = tuple(Rule(j, v) for j, v in fields)
-        if mode not in ("conjunction", "disjunction"):
+        if mode not in _MODEL_TYPES:
             raise DataError(f"unknown model_type {mode!r}")
-        return cls(rules=rules, is_disjunction=(mode == "disjunction"))
+        return cls(rules=rules, is_disjunction=bool(_MODEL_TYPES.index(mode)))
 
     def __len__(self):
         return len(self.rules)
@@ -186,9 +189,10 @@ class Dataset:
             raise DataError("labels must be 0/1 valued")
         if envs.min() < 0:
             raise DataError("environment ids must be non-negative")
-        names = tuple(self.feature_names) if self.feature_names else tuple(
-            f"x{j}" for j in range(d)
-        )
+        names = self.feature_names
+        if isinstance(names, (str, bytes)):
+            raise DataError(f"feature_names must be a sequence, got {names!r}")
+        names = tuple(names) if names else tuple(f"x{j}" for j in range(d))
         if len(names) != d:
             raise DataError(f"{len(names)} feature names for {d} features")
         for arr in (features, labels, envs):

@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the setting checks."""
+"""Exception types shared across the package, and the setting checks.
+
+Each ``_require_*`` check takes a setting's name and value and returns the
+value as the Python type it is stored as (int, float, bool or tuple), or
+raises ConfigError naming the setting. The config dataclasses store their
+int, float and bool fields, and the grid its sequences, through
+``_require_fields(self, check, *names, **bounds)``, so each kind of setting
+has one rule, stated here.
+"""
 
 import contextlib
 import numbers
@@ -36,13 +44,6 @@ def _require_int(name, value, minimum):
     return value
 
 
-def _require_int_fields(config, **minimums):
-    """``_require_int`` on fields of a frozen dataclass, storing each int."""
-    for name, minimum in minimums.items():
-        value = _require_int(name, getattr(config, name), minimum)
-        object.__setattr__(config, name, value)
-
-
 def _require_real(name, value, low, high, closed=False, what=None):
     """``value`` as a Python float in (low, high), or [low, high] when
     ``closed``; ConfigError "``name`` must be ``what``" (by default, a real
@@ -65,6 +66,16 @@ def _require_bool(name, value):
     if not isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be a bool, got {value!r}")
     return bool(value)
+
+
+def _require_sequence(name, value):
+    """``value`` as a tuple; ConfigError for a str or bytes (one word, not a
+    sequence of them) and for what is not iterable, such as None or 5,
+    instead of a TypeError or a split into letters."""
+    if not isinstance(value, (str, bytes)):
+        with contextlib.suppress(TypeError):
+            return tuple(value)
+    raise ConfigError(f"{name} must be a sequence, got {value!r}")
 
 
 def _require_fields(config, check, *names, **bounds):

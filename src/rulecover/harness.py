@@ -21,8 +21,8 @@ import numpy as np
 from . import _kernels as kernels
 from . import icp
 from .data import write_json
-from .errors import ConfigError, _require_bool, _require_fields
-from .errors import _require_int, _require_int_fields
+from .errors import ConfigError, _require_bool, _require_fields, _require_int
+from .errors import _require_sequence
 from .icp import IcpConfig
 from .icscm import IcscmConfig, icscm_fit
 from .scm import ScmConfig, scm_fit
@@ -65,9 +65,10 @@ class ExperimentGrid:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
+        _require_fields(self, _require_sequence, "methods")
+        sizes = _require_sequence("xb_sizes", self.xb_sizes)
         try:
-            sizes = tuple(map(operator.index, self.xb_sizes))
+            sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise ConfigError(f"xb_sizes must be integers, got {self.xb_sizes}") from None
         object.__setattr__(self, "xb_sizes", sizes)
@@ -84,7 +85,8 @@ class ExperimentGrid:
             raise ConfigError("xb_sizes must be non-negative")
         if len(set(self.xb_sizes)) < len(self.xb_sizes):
             raise ConfigError(f"xb_sizes must not repeat a size, got {self.xb_sizes}")
-        _require_int_fields(self, master_seed=0, n_runs=1, jobs=1)
+        _require_fields(self, _require_int, "master_seed", minimum=0)
+        _require_fields(self, _require_int, "n_runs", "jobs", minimum=1)
         _require_fields(self, _require_bool, "record_timings")
         # every field has its declared type: a nested config of another class
         # would otherwise fail only inside the first cell
@@ -137,10 +139,8 @@ def _fit_selected(method, dataset, grid):
     if method == "icscm_noprune":
         config = replace(grid.icscm_config, prune=False)
         return set(icscm_fit(dataset, config).selected_features)
-    if method == "icp":
-        # looked up on the module, so that a rebound icp.icp_report is called
-        return set(icp.icp_report(dataset, grid.icp_config).selected)
-    raise ConfigError(f"unknown method {method!r}")
+    # "icp", looked up on the module so that a rebound icp_report is called
+    return set(icp.icp_report(dataset, grid.icp_config).selected)
 
 
 def _run_cell(args):
@@ -172,11 +172,12 @@ def _run_cell(args):
 
 
 def _before_cells(grid, out_dir):
-    """Refuse an icp grid too wide for ``icp.check_feasible`` (at max xb + 3
-    features), then create ``out_dir`` when one is given, so that neither
-    is found out after the cells have run."""
+    """Refuse an icp grid too wide for ``icp.check_feasible`` (at the widest
+    cell's ``SimConfig.n_features``), then create ``out_dir`` when one is
+    given, so that neither is found out after the cells have run."""
     if "icp" in grid.methods:
-        icp.check_feasible(max(grid.xb_sizes) + 3, grid.icp_config)
+        widest = replace(grid.base_sim, n_distractors=max(grid.xb_sizes))
+        icp.check_feasible(widest.n_features, grid.icp_config)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
@@ -185,8 +186,8 @@ def run_identification(grid, out_dir=None, plot_data=False):
     """Run the grid and return the per-run results, optionally writing
     identification.csv, summary.csv, manifest.json (and the tidy plot CSV)
     under ``out_dir``. An icp grid too wide for ``icp.check_feasible`` (at
-    max xb + 3 features), or an ``out_dir`` that cannot be created, is
-    refused before any cell runs."""
+    the widest cell's features), or an ``out_dir`` that cannot be created,
+    is refused before any cell runs."""
     _before_cells(grid, out_dir)
     tasks = [
         (grid, xb, run) for xb in grid.xb_sizes for run in range(grid.n_runs)

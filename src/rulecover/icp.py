@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import InfeasibleError, _require_fields, _require_int_fields, _require_real
+from .errors import InfeasibleError, _require_fields, _require_int, _require_real
 from .stats import TestResult, _require_environments, stratified_tests
 
 # Not called here (icp_report sums the same tables from the count table, and
@@ -81,8 +81,8 @@ class IcpConfig:
     def __post_init__(self):
         _require_fields(self, _require_real, "alpha", low=0, high=1)
         if self.max_subset_size is not None:
-            _require_int_fields(self, max_subset_size=0)
-        _require_int_fields(self, min_samples_per_cell=0)
+            _require_fields(self, _require_int, "max_subset_size", minimum=0)
+        _require_fields(self, _require_int, "min_samples_per_cell", minimum=0)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ import numpy as np
 
 from . import _kernels as kernels
 from .data import Conjunction, _rule_arrays
-from .errors import ConfigError, _require_bool, _require_fields
-from .errors import _require_int_fields, _require_real
+from .errors import ConfigError, _require_bool, _require_fields, _require_int
+from .errors import _require_real
 from .scm import ScmConfig, _greedy_fit
-from .stats import _require_environments, chi2_sf, stratified_tests, table_stats
+from .stats import _TEST_METHODS, _require_environments, chi2_sf
+from .stats import stratified_tests, table_stats
 
 # Not called here: the greedy engine in scm.py reads the default candidates
 # from the count table and applies each appended rule, the stop test and
@@ -46,10 +47,11 @@ class IcscmConfig(ScmConfig):
         super().__post_init__()
         _require_fields(self, _require_real, "alpha", low=0, high=1)
         _require_fields(self, _require_bool, "prune")
-        _require_int_fields(self, min_leaf=1)
-        if self.test_method not in ("chi2", "gtest"):
+        _require_fields(self, _require_int, "min_leaf", minimum=1)
+        if self.test_method not in _TEST_METHODS:
+            choices = " or ".join(map(repr, _TEST_METHODS))
             raise ConfigError(
-                f"test_method must be 'chi2' or 'gtest', got {self.test_method!r}"
+                f"test_method must be {choices}, got {self.test_method!r}"
             )
 
 

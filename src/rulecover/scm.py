@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .data import (
+    _MODEL_TYPES,
     Conjunction,
     FitReport,
     IterationRecord,
@@ -33,8 +34,8 @@ from .data import (
     _rule_arrays,
     prediction_matrix,
 )
-from .errors import ConfigError, DataError, _require_fields
-from .errors import _require_int_fields, _require_real
+from .errors import ConfigError, DataError, _require_fields, _require_int
+from .errors import _require_real
 
 # Not called here (a fit's candidates come from the count table); the traced
 # benchmark (perfbench/layers.py) rebinds this name on this module.
@@ -54,7 +55,7 @@ class ScmConfig:
         _require_fields(
             self, _require_real, "p", low=0, high=math.inf, what="finite and positive"
         )
-        _require_int_fields(self, max_rules=1)
+        _require_fields(self, _require_int, "max_rules", minimum=1)
 
 
 def scm_fit(dataset, config, rules=None, model_type="conjunction"):
@@ -92,9 +93,9 @@ def _greedy_fit(
     is fitted on flipped labels: candidates are counted and applied negated
     (De Morgan), while the model and the log keep the caller's rules.
     """
-    if model_type not in ("conjunction", "disjunction"):
+    if model_type not in _MODEL_TYPES:
         raise ConfigError(f"unknown model_type {model_type!r}")
-    is_disjunction = model_type == "disjunction"
+    is_disjunction = bool(_MODEL_TYPES.index(model_type))
     rows, counts = table
     d = rows.shape[1]
     if rules is None:

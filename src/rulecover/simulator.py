@@ -7,7 +7,9 @@ distractor features are independent coin flips. The environment shifts the
 parent marginals but never the labelling mechanism.
 
 Randomness comes from numpy's Philox counter-based generator, so streams are
-platform-stable and independent across harness seeds.
+platform-stable and independent across harness seeds. A dataset's width,
+``SimConfig.n_features``, is declared once, on the config, and read by
+``simulate`` and by the harness's icp feasibility check.
 
 ``simulate`` allocates the dataset's arrays once and fills them in place,
 drawing the distractors in row chunks of at most 512 KiB of float64, so its
@@ -21,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Conjunction, Dataset, Rule, save_dataset_csv, write_json
-from .errors import ConfigError, _require_fields, _require_int_fields, _require_real
+from .errors import ConfigError, _require_fields, _require_int, _require_real
+from .errors import _require_sequence
 
 # Per-environment P(parent_i = 1) used when no table is supplied: parent 1
 # jumps 0.1 -> 0.5 across environments while parent 2 drops 0.5 -> 0.3.
@@ -43,9 +46,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int_fields(
-            self, n_envs=1, n_samples_per_env=1, n_distractors=0, seed=0
-        )
+        _require_fields(self, _require_int, "n_envs", "n_samples_per_env", minimum=1)
+        _require_fields(self, _require_int, "n_distractors", "seed", minimum=0)
         unit = dict(low=0, high=1, closed=True)
         eps = ("eps_y", "eps_child", "eps_distractor")
         _require_fields(self, _require_real, *eps, **unit)
@@ -60,8 +62,11 @@ class SimConfig:
                 )
             probs = DEFAULT_PARENT_PROBS[: self.n_envs]
         probs = tuple(
-            tuple(_require_real("parent_probs entry", p, **unit) for p in row)
-            for row in probs
+            tuple(
+                _require_real("parent_probs entry", p, **unit)
+                for p in _require_sequence("parent_probs row", row)
+            )
+            for row in _require_sequence("parent_probs", probs)
         )
         if len(probs) != self.n_envs:
             raise ConfigError(
@@ -71,6 +76,11 @@ class SimConfig:
             if len(row) != 2:
                 raise ConfigError("each parent_probs row needs exactly two entries")
         object.__setattr__(self, "parent_probs", probs)
+
+    @property
+    def n_features(self):
+        """Columns of a simulated dataset: parents, distractors and child."""
+        return self.n_distractors + 3
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ def simulate(config):
     n = config.n_samples_per_env
     k = config.n_distractors
     m = config.n_envs * n
-    features = np.empty((m, k + 3), dtype=np.uint8)
+    features = np.empty((m, config.n_features), dtype=np.uint8)
     labels = np.empty(m, dtype=np.uint8)
     envs = np.repeat(np.arange(config.n_envs, dtype=np.int64), n)
     step = max(1, _DISTRACTOR_CHUNK_DOUBLES // max(k, 1))

@@ -21,6 +21,9 @@ from .errors import ConfigError, DataError
 # Defined with the count table whose rows it packs; exported from here.
 from ._kernels import joint_strata  # noqa: F401
 
+# The test methods table_stats scores; every other module reads them here.
+_TEST_METHODS = ("chi2", "gtest")
+
 _EPS = 1e-15
 _TINY = 1e-300
 
@@ -144,7 +147,8 @@ def table_stats(counts, method):
         )
         stat = 2.0 * (counts * np.log(ratio)).sum(axis=(1, 2))
     else:
-        raise DataError(f"unknown test method {method!r}; use 'chi2' or 'gtest'")
+        choices = " or ".join(map(repr, _TEST_METHODS))
+        raise DataError(f"unknown test method {method!r}; use {choices}")
     # both statistics are nonnegative; clear float dust from cancelling terms
     stat = np.maximum(np.where(dof > 0, stat, 0.0), 0.0)
     return stat, dof.astype(np.int64)

@@ -213,6 +213,14 @@ def test_dataset_validation():
             envs=np.zeros(2, dtype=np.int64),
             feature_names=("a", "b"),
         )
+    with pytest.raises(DataError, match="feature_names must be a sequence"):
+        # a bare word, not the names ('a', 'b')
+        Dataset(
+            features=np.zeros((2, 2), dtype=np.uint8),
+            labels=np.array([0, 1], dtype=np.uint8),
+            envs=np.zeros(2, dtype=np.int64),
+            feature_names="ab",
+        )
 
 
 # Values are checked before the cast to uint8/int64, which would otherwise

@@ -109,10 +109,12 @@ def _prune_alpha(alpha):
 
 # What a float setting refuses (10**400 is beyond every float), and a bool
 # setting's counterparts: 1 stands in for True, a bool setting's own value.
+# A sequence setting refuses a bare word, which is not a sequence of words.
 NOT_REAL = ("0.5", True, None, math.nan, 10**400)
 NOT_BOOL = ("0.5", 1, None, math.nan)
+NOT_SEQUENCE = (None, 5, "icp")
 # setting: (its name in the message, the setting built from a value, refused)
-REAL_AND_BOOL_SETTINGS = {
+CHECKED_SETTINGS = {
     "ScmConfig.p": ("p", lambda v: ScmConfig(p=v), NOT_REAL),
     "IcscmConfig.alpha": ("alpha", lambda v: IcscmConfig(alpha=v), NOT_REAL),
     "IcscmConfig.prune": ("prune", lambda v: IcscmConfig(prune=v), NOT_BOOL),
@@ -131,6 +133,18 @@ REAL_AND_BOOL_SETTINGS = {
     "ExperimentGrid.record_timings": (
         "record_timings", lambda v: ExperimentGrid(record_timings=v), NOT_BOOL
     ),
+    "SimConfig.parent_probs table": (
+        "parent_probs", lambda v: SimConfig(parent_probs=v), (5, 1.5, "ab")
+    ),
+    "SimConfig.parent_probs row": (
+        "parent_probs row", lambda v: SimConfig(parent_probs=v), ((0.1, 0.5),)
+    ),
+    "ExperimentGrid.methods": (
+        "methods", lambda v: ExperimentGrid(methods=v), NOT_SEQUENCE
+    ),
+    "ExperimentGrid.xb_sizes": (
+        "xb_sizes", lambda v: ExperimentGrid(xb_sizes=v), (3, None, "1")
+    ),
 }
 
 
@@ -138,7 +152,7 @@ REAL_AND_BOOL_SETTINGS = {
     "setting, value",
     [
         pytest.param(setting, value, id=f"{setting}={value!r:.12}")
-        for setting, (_, _, refused) in REAL_AND_BOOL_SETTINGS.items()
+        for setting, (_, _, refused) in CHECKED_SETTINGS.items()
         for value in refused
         # refused before, with the message tests/test_cli.py pins
         if (setting, value) != ("ScmConfig.p", math.nan)
@@ -147,8 +161,10 @@ REAL_AND_BOOL_SETTINGS = {
 def test_float_and_bool_settings_refuse_what_they_cannot_use(setting, value):
     # unchecked, "0.5" and None failed with a TypeError or were read as
     # truthy, True passed as 1.0, NaN and 1 passed the bool settings, and
-    # p = 10**400 was stored as an int
-    name, make, _ = REAL_AND_BOOL_SETTINGS[setting]
+    # p = 10**400 was stored as an int; a number as parent_probs or methods
+    # failed with a TypeError, xb_sizes=3 was called "not integers", and
+    # methods="icp" was split into the letters ['i', 'c', 'p']
+    name, make, _ = CHECKED_SETTINGS[setting]
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         make(value)
 
@@ -184,6 +200,36 @@ def test_float_and_bool_settings_store_python_types_for_the_manifest(tmp_path):
     assert doc["icscm_config"]["prune"] is False
     assert doc["icp_config"]["alpha"] == 0.1
     assert doc["record_timings"] is False
+
+
+CONFIG_FIELDS = [
+    (config, field.name)
+    for config in (ScmConfig, IcscmConfig, IcpConfig, SimConfig, ExperimentGrid)
+    for field in fields(config)
+]
+ODD_VALUES = {
+    "None": None,
+    "object": object(),
+    "word": "x",
+    "fraction": 1.5,
+    "negative": -1,
+    "nan": math.nan,
+    "huge": 10**400,
+    "tuple": (1.5,),
+}
+
+
+@pytest.mark.parametrize("value", ODD_VALUES.values(), ids=ODD_VALUES.keys())
+@pytest.mark.parametrize(
+    "config, name", CONFIG_FIELDS, ids=lambda x: getattr(x, "__name__", x)
+)
+def test_every_config_field_builds_or_raises_config_error(config, name, value):
+    # any other exception, such as a TypeError from iterating a number, is a
+    # setting that escapes its check
+    try:
+        config(**{name: value})
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize(
