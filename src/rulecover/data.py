@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, _require_bool, _require_sequence
 
 # The model types a fit or a model document names, indexed by is_disjunction.
 _MODEL_TYPES = ("conjunction", "disjunction")
@@ -61,7 +61,13 @@ class Conjunction:
     is_disjunction: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
+        rules = _require_sequence("rules", self.rules, DataError)
+        for rule in rules:
+            if not isinstance(rule, Rule):
+                raise DataError(f"rules must be Rule values, got {rule!r}")
+        flag = _require_bool("is_disjunction", self.is_disjunction, DataError)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "is_disjunction", flag)
 
     def predict(self, features):
         """uint8 model output per row of a feature matrix (or one row)."""
@@ -189,12 +195,13 @@ class Dataset:
             raise DataError("labels must be 0/1 valued")
         if envs.min() < 0:
             raise DataError("environment ids must be non-negative")
-        names = self.feature_names
-        if isinstance(names, (str, bytes)):
-            raise DataError(f"feature_names must be a sequence, got {names!r}")
-        names = tuple(names) if names else tuple(f"x{j}" for j in range(d))
+        names = _require_sequence("feature_names", self.feature_names, DataError)
+        names = names or tuple(f"x{j}" for j in range(d))
         if len(names) != d:
             raise DataError(f"{len(names)} feature names for {d} features")
+        for name in names:
+            if type(name) is not str:  # refuses numbers and numpy's np.str_
+                raise DataError(f"feature_names must be str values, got {name!r}")
         for arr in (features, labels, envs):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)

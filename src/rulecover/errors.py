@@ -5,7 +5,8 @@ value as the Python type it is stored as (int, float, bool or tuple), or
 raises ConfigError naming the setting. The config dataclasses store their
 int, float and bool fields, and the grid its sequences, through
 ``_require_fields(self, check, *names, **bounds)``, so each kind of setting
-has one rule, stated here.
+has one rule, stated here. ``Dataset`` and ``Conjunction`` read their
+sequence and bool fields through the same checks, raising DataError.
 """
 
 import contextlib
@@ -60,22 +61,23 @@ def _require_real(name, value, low, high, closed=False, what=None):
     raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def _require_bool(name, value):
-    """``value`` as a Python bool; ConfigError for anything but a bool or
-    numpy bool, such as "no", 0 or None, which would be read as truthiness."""
+def _require_bool(name, value, error=ConfigError):
+    """``value`` as a Python bool; ``error`` (a setting's ConfigError, or a
+    data type's DataError) for anything but a bool or numpy bool, such as
+    "no", 0 or None, which would be read as truthiness."""
     if not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
+        raise error(f"{name} must be a bool, got {value!r}")
     return bool(value)
 
 
-def _require_sequence(name, value):
-    """``value`` as a tuple; ConfigError for a str or bytes (one word, not a
-    sequence of them) and for what is not iterable, such as None or 5,
-    instead of a TypeError or a split into letters."""
+def _require_sequence(name, value, error=ConfigError):
+    """``value`` as a tuple; ``error`` (as for ``_require_bool``) for a str or
+    bytes (one word, not a sequence of them) and for what is not iterable,
+    such as None or 5, instead of a TypeError or a split into letters."""
     if not isinstance(value, (str, bytes)):
         with contextlib.suppress(TypeError):
             return tuple(value)
-    raise ConfigError(f"{name} must be a sequence, got {value!r}")
+    raise error(f"{name} must be a sequence, got {value!r}")
 
 
 def _require_fields(config, check, *names, **bounds):

@@ -11,6 +11,7 @@ identical re-runs are required.
 """
 
 import csv
+import gc
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -143,6 +144,22 @@ def _fit_selected(method, dataset, grid):
     return set(icp.icp_report(dataset, grid.icp_config).selected)
 
 
+def _timed_fit(method, dataset, grid):
+    """The fit's selected features and wall time. When timings are recorded
+    the cyclic collector is paused for the fit, as ``timeit`` pauses it, so a
+    collection of garbage left by earlier work is not charged to this fit."""
+    paused = grid.record_timings and gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        start = time.perf_counter()
+        selected = _fit_selected(method, dataset, grid)
+        return selected, time.perf_counter() - start
+    finally:
+        if paused:
+            gc.enable()
+
+
 def _run_cell(args):
     """One (xb_size, run_index) task: simulate once, fit every method."""
     grid, xb_size, run_index = args
@@ -152,9 +169,7 @@ def _run_cell(args):
     parents = truth.parent_indices
     rows = []
     for method in grid.methods:
-        start = time.perf_counter()
-        selected = _fit_selected(method, dataset, grid)
-        elapsed = time.perf_counter() - start
+        selected, elapsed = _timed_fit(method, dataset, grid)
         precision, recall = precision_recall(selected, parents)
         rows.append(
             IdentificationResult(

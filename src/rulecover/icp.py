@@ -31,9 +31,10 @@ three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
 level summed from it and one temporary) plus scoring blocks of
 ``_BLOCK_CELLS`` cells.
 Counts are exact integers, and every subset is scored by
-``stats.stratified_tests``, which sums its statistic over its own tables in
-ascending stratum order, so p-values do not depend on how the subsets were
-grouped.
+``stats.stratified_tests``, which sums its statistic over its own tables:
+the terms in ascending stratum order, grouped as numpy's ``.sum`` groups a
+contiguous run of them. So p-values do not depend on how the subsets were
+batched.
 """
 
 import math

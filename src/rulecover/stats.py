@@ -119,39 +119,57 @@ class TestResult:
     degenerate: bool
 
 
+def _table_sums(terms):
+    """Each table's terms, from an (r, c, T) array, summed in row-major order
+    and grouped as ``.sum(axis=(1, 2))`` groups them on (T, r, c). Below 8
+    terms numpy adds left to right, as a sum over the cell axis does across
+    the whole batch; from 8 up it sums each table's contiguous run pairwise,
+    so the terms are first copied table-major."""
+    r, c, n_tables = terms.shape
+    terms = terms.reshape(r * c, n_tables)
+    if r * c < 8:
+        return terms.sum(axis=0)
+    return np.ascontiguousarray(terms.T).sum(axis=1)
+
+
 def table_stats(counts, method):
     """Statistic and dof for a batch of contingency tables.
 
     ``counts`` has shape (T, r, c); returns (stat, dof) arrays of length T.
     Degrees of freedom count only rows/columns with a nonzero marginal, so
     value levels absent from the data contribute nothing.
+
+    The batch is scored cell by cell: each cell's counts, one per table, are
+    a contiguous column of a (r, c, T) copy, so every numpy call runs over T
+    tables at once instead of over an axis of length r or c per table, with
+    the per-table reductions' bits (``_table_sums``).
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    row = counts.sum(axis=2)
-    col = counts.sum(axis=1)
-    n = row.sum(axis=1)
-    nz_rows = (row > 0).sum(axis=1)
-    nz_cols = (col > 0).sum(axis=1)
+    cells = np.asarray(counts).transpose(1, 2, 0).astype(np.float64, order="C")
+    # marginals are sums of integer counts: exact in any order
+    row = cells.sum(axis=1)
+    col = cells.sum(axis=0)
+    n = row.sum(axis=0)
+    nz_rows = (row > 0).sum(axis=0, dtype=np.int64)
+    nz_cols = (col > 0).sum(axis=0, dtype=np.int64)
     dof = np.maximum(nz_rows - 1, 0) * np.maximum(nz_cols - 1, 0)
     safe_n = np.where(n > 0, n, 1.0)
-    expected = row[:, :, None] * col[:, None, :] / safe_n[:, None, None]
+    expected = row[:, None, :] * col[None, :, :] / safe_n
     if method == "chi2":
-        diff_sq = (counts - expected) ** 2
-        stat = np.divide(
+        diff_sq = (cells - expected) ** 2
+        terms = np.divide(
             diff_sq, expected, out=np.zeros_like(expected), where=expected > 0
-        ).sum(axis=(1, 2))
+        )
+        stat = _table_sums(terms)
     elif method == "gtest":
         # 2 * sum O * ln(O / E), with the 0 * ln 0 := 0 convention.
-        ratio = np.divide(
-            counts, expected, out=np.ones_like(expected), where=counts > 0
-        )
-        stat = 2.0 * (counts * np.log(ratio)).sum(axis=(1, 2))
+        ratio = np.divide(cells, expected, out=np.ones_like(expected), where=cells > 0)
+        stat = 2.0 * _table_sums(cells * np.log(ratio))
     else:
         choices = " or ".join(map(repr, _TEST_METHODS))
         raise DataError(f"unknown test method {method!r}; use {choices}")
     # both statistics are nonnegative; clear float dust from cancelling terms
     stat = np.maximum(np.where(dof > 0, stat, 0.0), 0.0)
-    return stat, dof.astype(np.int64)
+    return stat, dof
 
 
 def _result_from(stat, dof):
@@ -223,21 +241,28 @@ def stratified_tests(counts, method="gtest"):
     """One test of label against environment, summed over strata, per set.
 
     ``counts`` has shape (n_sets, n_strata, 2, k), strata in ascending id.
-    Empty strata are dropped and one ``table_stats`` scores the rest; each
-    set's statistic and dof are then summed over its own strata in ascending
-    order. That order fixes how the floating-point sum groups its terms, so
-    equal tables give bit-identical p-values however the sets are batched.
+    Empty strata are dropped and one ``table_stats`` scores the rest. Each
+    set's statistic and dof are then summed over its own strata: its terms in
+    ascending stratum order, grouped as numpy's ``.sum`` groups them over a
+    contiguous run (``stat[a:b].sum()``). The sets with the same number of
+    occupied strata are summed together, one gathered row each, so equal
+    tables give bit-identical p-values however the sets are batched.
     """
-    n_sets, n_strata = counts.shape[:2]
-    tables = counts.reshape(n_sets * n_strata, *counts.shape[2:])
-    occupied = tables.any(axis=(1, 2))
+    n_sets, n_strata, r, c = counts.shape
+    tables = counts.reshape(n_sets * n_strata, r, c)
+    # any nonzero cell, reduced over a cell-major copy as in table_stats
+    cells = tables.reshape(n_sets * n_strata, r * c).T.astype(bool, order="C")
+    occupied = cells.any(axis=0)
     stat, dof = table_stats(np.compress(occupied, tables, axis=0), method)
     n_occupied = occupied.reshape(n_sets, n_strata).sum(axis=1)
-    ends = np.cumsum(n_occupied)
-    starts = ends - n_occupied
-    dof_before = np.concatenate([[0], np.cumsum(dof)])
-    dofs = dof_before[ends] - dof_before[starts]
+    starts = np.cumsum(n_occupied) - n_occupied
+    set_stats, set_dofs = np.zeros(n_sets), np.zeros(n_sets, dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(n_occupied)).tolist():
+        group = n_occupied == size
+        strata = starts[group][:, None] + np.arange(size)
+        set_stats[group] = stat[strata].sum(axis=1)
+        set_dofs[group] = dof[strata].sum(axis=1)
     return [
-        _result_from(stat[a:b].sum(), n_dof)
-        for a, b, n_dof in zip(starts.tolist(), ends.tolist(), dofs.tolist())
+        _result_from(set_stat, set_dof)
+        for set_stat, set_dof in zip(set_stats.tolist(), set_dofs.tolist())
     ]

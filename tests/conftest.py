@@ -289,6 +289,34 @@ def table_to_vectors(table):
     return np.array(ys, dtype=np.int64), np.array(es, dtype=np.int64)
 
 
+def table_stats_reference(counts, method):
+    """Statistic and dof per (r, c) table, by reductions over each table's
+    own axes: the reference for ``stats.table_stats``, which sums the same
+    terms in the same grouping column by column across the batch."""
+    counts = np.asarray(counts, dtype=np.float64)
+    row = counts.sum(axis=2)
+    col = counts.sum(axis=1)
+    n = row.sum(axis=1)
+    nz_rows = (row > 0).sum(axis=1)
+    nz_cols = (col > 0).sum(axis=1)
+    dof = np.maximum(nz_rows - 1, 0) * np.maximum(nz_cols - 1, 0)
+    safe_n = np.where(n > 0, n, 1.0)
+    expected = row[:, :, None] * col[:, None, :] / safe_n[:, None, None]
+    if method == "chi2":
+        diff_sq = (counts - expected) ** 2
+        stat = np.divide(
+            diff_sq, expected, out=np.zeros_like(expected), where=expected > 0
+        ).sum(axis=(1, 2))
+    else:
+        # 2 * sum O * ln(O / E), with the 0 * ln 0 := 0 convention.
+        ratio = np.divide(
+            counts, expected, out=np.ones_like(expected), where=counts > 0
+        )
+        stat = 2.0 * (counts * np.log(ratio)).sum(axis=(1, 2))
+    stat = np.maximum(np.where(dof > 0, stat, 0.0), 0.0)
+    return stat, dof.astype(np.int64)
+
+
 def no_enumeration(*args):
     """Stands in for ``icp.combinations`` in feasibility tests, so that a run
     the check should refuse fails at once instead of enumerating subsets."""

@@ -221,6 +221,47 @@ def test_dataset_validation():
             envs=np.zeros(2, dtype=np.int64),
             feature_names="ab",
         )
+    # not iterable, a numpy array of np.str_ names, and a non-str name: each
+    # refused as data, not a TypeError, numpy's "ambiguous truth value" or
+    # a stored int name
+    refusals = [
+        (5, "feature_names must be a sequence, got 5"),
+        # numpy 2 prints np.str_('a'), numpy 1 prints 'a'
+        (np.array(["a", "b"]), "feature_names must be str values, got "),
+        (["a", 2], "feature_names must be str values, got 2"),
+    ]
+    for names, message in refusals:
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset(
+                features=np.zeros((2, 2), dtype=np.uint8),
+                labels=np.array([0, 1], dtype=np.uint8),
+                envs=np.zeros(2, dtype=np.int64),
+                feature_names=names,
+            )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(rules=5), "rules must be a sequence, got 5"),
+        (dict(rules="x0"), "rules must be a sequence, got 'x0'"),
+        (dict(rules=(Rule(0, 1), (1, 1))), "rules must be Rule values, got (1, 1)"),
+        (dict(is_disjunction="no"), "is_disjunction must be a bool, got 'no'"),
+        (dict(is_disjunction=1), "is_disjunction must be a bool, got 1"),
+        (dict(is_disjunction=None), "is_disjunction must be a bool, got None"),
+    ],
+)
+def test_conjunction_refuses_what_it_cannot_read(kwargs, message):
+    # "no" would be read as a disjunction by truthiness
+    with pytest.raises(DataError, match=re.escape(message)):
+        Conjunction(**kwargs)
+
+
+def test_conjunction_stores_rules_as_a_tuple_and_a_python_bool():
+    model = Conjunction(rules=[Rule(0, 1)], is_disjunction=np.bool_(True))
+    assert model.rules == (Rule(0, 1),)
+    assert model.is_disjunction is True
+    assert Conjunction.from_dict(model.to_dict()) == model
 
 
 # Values are checked before the cast to uint8/int64, which would otherwise

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import fields, replace
@@ -434,3 +435,34 @@ def test_runtime_benchmark(tmp_path, monkeypatch):
     with pytest.raises(InfeasibleError):
         run_runtime_benchmark(_small_grid(methods=("icp",), xb_sizes=(30,)), repeats=1)
     assert calls == []
+
+
+def test_timed_fits_pause_the_collector(monkeypatch):
+    seen = []
+
+    def recording_fit(method, dataset, grid):
+        seen.append(gc.isenabled())
+        if method == "icscm":
+            raise RuntimeError("fit failed")
+        return set()
+
+    monkeypatch.setattr(harness, "_fit_selected", recording_fit)
+    grid = _small_grid(
+        methods=("scm",), xb_sizes=(1,), n_runs=1, record_timings=True
+    )
+    run_identification(grid)
+    run_identification(replace(grid, record_timings=False))
+    # paused while a timed fit runs, untouched when timings are not recorded
+    assert seen == [False, True]
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="fit failed"):
+        run_identification(replace(grid, methods=("icscm",)))
+    assert gc.isenabled()
+    # a collector the caller disabled stays disabled
+    gc.disable()
+    try:
+        run_identification(grid)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, True, False, False]

@@ -18,7 +18,7 @@ from rulecover.stats import (
     table_stats,
 )
 
-from conftest import table_to_vectors
+from conftest import table_stats_reference, table_to_vectors
 
 
 class TestChi2Sf:
@@ -289,6 +289,55 @@ def test_stratified_tests_match_per_set_reference(
     for result, tables in zip(results, counts):
         stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
         assert result == _result_from(stat.sum(), dof.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 3, 7, 8, 9, 64, 1000, 5000]),
+    st.integers(0, 10),
+    st.sampled_from([2, 50, 2**20, 2**40]),
+    st.sampled_from(["chi2", "gtest"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_table_stats_match_reference(n_tables, k, high, method, seed):
+    # k runs from 0 (the stop test's all-empty table) past 2k = 8, where
+    # numpy's sum stops adding left to right; tables, label rows and env
+    # columns are emptied at random
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, high, (n_tables, 2, k), endpoint=True)
+    counts[rng.random(n_tables) < 0.1] = 0
+    counts[rng.random((n_tables, 2)) < 0.2] = 0
+    counts.transpose(0, 2, 1)[rng.random((n_tables, k)) < 0.2] = 0
+    stat, dof = table_stats(counts, method)
+    want_stat, want_dof = table_stats_reference(counts, method)
+    assert stat.view(np.int64).tolist() == want_stat.view(np.int64).tolist()
+    assert dof.dtype == want_dof.dtype and dof.tolist() == want_dof.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["chi2", "gtest"]), st.integers(0, 2**32 - 1))
+def test_stratified_tests_group_sums_match_per_set_sums(method, seed):
+    # one batch mixes sets with 0, 1-7, 8-128 and more than 128 occupied
+    # strata, the sizes at which numpy's pairwise sum changes how it groups
+    # terms, with several sets of each size in shuffled order; each set
+    # must score bit for bit as stat[a:b].sum() over its own strata
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation([0, 0, 1, 1, 5, 7, 7, 8, 9, 31, 128, 128, 129, 300])
+    n_strata, k = 320, int(rng.integers(2, 5))
+    counts = np.zeros((len(sizes), n_strata, 2, k))
+    for counts_of_set, size in zip(counts, sizes):
+        strata = np.sort(rng.choice(n_strata, size, replace=False))
+        counts_of_set[strata] = rng.integers(0, 30, (size, 2, k))
+        counts_of_set[strata, 0, 0] += 1  # every chosen stratum occupied
+    results = stratified_tests(counts, method)
+    tables = counts.reshape(-1, 2, k)
+    stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
+    ends = np.cumsum(sizes)
+    for result, a, b in zip(results, ends - sizes, ends):
+        want = _result_from(stat[a:b].sum(), dof[a:b].sum())
+        assert result.statistic.hex() == want.statistic.hex()
+        assert result.p_value.hex() == want.p_value.hex()
+        assert (result.dof, result.degenerate) == (want.dof, want.degenerate)
 
 
 _ID_LISTS = st.one_of(
