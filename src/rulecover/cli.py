@@ -6,13 +6,15 @@ flags given, so each hyperparameter default is the one SimConfig, ScmConfig,
 IcscmConfig, IcpConfig or ExperimentGrid declares; benchmark's --xb alone
 keeps its own (2..10). The flags that set no config field keep their own
 defaults: --data, --model, -o/--out, --manifest, --force, --method,
---model-type, --plot-data and benchmark's --repeats.
+--model-type, --plot-data and benchmark's --repeats. An empty -o/--out,
+--manifest or --parent-probs is refused as a usage error.
 
 Exit codes: 0 success, 2 usage/config error or unwritable output, 3 data
 error, 4 refused as infeasible. All randomness flows from --seed.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -71,6 +73,15 @@ def parse_parent_probs(text):
     return tuple(rows)
 
 
+def _nonempty(text):
+    """argparse ``type`` for a path or value that must not be ``""``: an empty
+    -o would write into the current directory, and an empty --manifest or
+    --parent-probs would be ignored."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _config(cls, args, **fixed):
     """``cls`` from the flags named after its fields that were given (not
     None), overridden by ``fixed``; every other field keeps its default."""
@@ -80,7 +91,7 @@ def _config(cls, args, **fixed):
 
 
 def cmd_simulate(args):
-    probs = parse_parent_probs(args.parent_probs) if args.parent_probs else None
+    probs = None if args.parent_probs is None else parse_parent_probs(args.parent_probs)
     config = _config(SimConfig, args, parent_probs=probs)
     if config.n_envs < 2:
         if not args.force:
@@ -104,7 +115,7 @@ def cmd_simulate(args):
     print(f"  P(y=1) = {float(dataset.labels.mean()):.4f}")
     print(f"  P(y = parents' AND) = {acc_parents:.4f}")
     print(f"  P(y = child) = {acc_child:.4f}")
-    if args.manifest:
+    if args.manifest is not None:
         write_json(args.manifest, {"command": "simulate", **asdict(config)})
     return 0
 
@@ -146,10 +157,10 @@ def cmd_fit(args):
     dataset = load_dataset_csv(args.data)
     report = fit(dataset, config, model_type=args.model_type)
     _print_fit_report(dataset, report)
-    if args.out:
+    if args.out is not None:
         save_model_json(report.model, args.out, stop_reason=report.stop_reason)
         print(f"wrote {args.out}")
-    if args.manifest:
+    if args.manifest is not None:
         write_json(
             args.manifest,
             {
@@ -175,7 +186,7 @@ def cmd_prune(args):
         dropped.remove(rule)
     print(f"kept: {kept}")
     print(f"dropped: {', '.join(map(str, dropped)) or '(none)'}")
-    if args.out:
+    if args.out is not None:
         save_model_json(pruned, args.out)
         print(f"wrote {args.out}")
     return 0
@@ -194,7 +205,7 @@ def cmd_icp(args):
         "selected features: "
         + (", ".join(f"{names[j]} (#{j})" for j in selected) if selected else "(none)")
     )
-    if args.out:
+    if args.out is not None:
         doc = {
             "selected": selected,
             "alpha": config.alpha,
@@ -274,10 +285,14 @@ def _add_grid_flags(parser):
     _add_fit_hyper_flags(parser)
     parser.add_argument("--max-subset-size", type=int)
     parser.add_argument("--min-cell", dest="min_samples_per_cell", type=int)
-    parser.add_argument("-o", "--out", required=True)
+    parser.add_argument("-o", "--out", type=_nonempty, required=True)
 
 
+@functools.cache
 def build_parser():
+    """The ``rulecover`` parser, built once per process: parsing leaves it
+    unchanged and every default is immutable, so each ``main`` call gets a
+    fresh Namespace from the shared parser."""
     parser = argparse.ArgumentParser(
         prog="rulecover",
         description="Rule-conjunction learners, invariant-set baselines and "
@@ -294,12 +309,13 @@ def build_parser():
     p.add_argument("--eps-child", type=float,
                    help="probability the child records the environment instead of y")
     p.add_argument("--eps-distractor", type=float, help="P(distractor = 1)")
-    p.add_argument("--parent-probs",
+    p.add_argument("--parent-probs", type=_nonempty,
                    help="per-env parent marginals, e.g. '0.1,0.5;0.5,0.3'")
     p.add_argument("--force", action="store_true",
                    help="allow single-environment data")
-    p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--manifest", default=None)
+    p.add_argument("-o", "--out", type=_nonempty, required=True,
+                   help="output directory")
+    p.add_argument("--manifest", type=_nonempty)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a rule conjunction to a dataset CSV")
@@ -311,15 +327,15 @@ def build_parser():
     p.add_argument("--prune", dest="prune", action="store_true", default=None)
     p.add_argument("--no-prune", dest="prune", action="store_false")
     p.add_argument("--model-type", choices=_MODEL_TYPES, default="conjunction")
-    p.add_argument("-o", "--out", default=None, help="model JSON path")
-    p.add_argument("--manifest", default=None)
+    p.add_argument("-o", "--out", type=_nonempty, help="model JSON path")
+    p.add_argument("--manifest", type=_nonempty)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("prune", help="prune a fitted model against a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float)
-    p.add_argument("-o", "--out", default=None)
+    p.add_argument("-o", "--out", type=_nonempty)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("icp", help="exhaustive invariant-subset baseline")
@@ -328,7 +344,7 @@ def build_parser():
     p.add_argument("--max-subset-size", type=int)
     p.add_argument("--min-cell", dest="min_samples_per_cell", type=int,
                    help="required samples per cell before a subset is testable")
-    p.add_argument("-o", "--out", default=None)
+    p.add_argument("-o", "--out", type=_nonempty)
     p.set_defaults(func=cmd_icp)
 
     p = sub.add_parser("experiment", help="identification-rate grid")

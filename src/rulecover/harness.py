@@ -14,7 +14,6 @@ import csv
 import gc
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 import numpy as np
@@ -209,6 +208,10 @@ def run_identification(grid, out_dir=None, plot_data=False):
     ]
     workers = min(grid.jobs, len(tasks))
     if workers > 1:
+        # imported here so that a process that never runs a pool does not
+        # load concurrent.futures.process and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_cell, tasks, chunksize=1))
     else:

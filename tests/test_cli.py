@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rulecover
 from rulecover import harness, icp
-from rulecover.cli import main, parse_parent_probs, parse_xb_sizes
+from rulecover.cli import build_parser, main, parse_parent_probs, parse_xb_sizes
 from rulecover.data import (
     Conjunction,
     Rule,
@@ -539,3 +544,115 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["fit"])  # missing --data
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--parent-probs", "", "-o", "sim"],
+        ["simulate", "--manifest", "", "-o", "sim"],
+        ["simulate", "-o", ""],
+        ["fit", "--data", "{data}", "--manifest", ""],
+        ["fit", "--data", "{data}", "-o", ""],
+        ["prune", "--data", "{data}", "--model", "{model}", "-o", ""],
+        ["icp", "--data", "{data}", "-o", ""],
+        ["experiment", "--methods", "scm", "--xb", "1", "--runs", "1",
+         "--samples", "200", "-o", ""],
+        ["benchmark", "--methods", "scm", "--xb", "1", "--repeats", "1",
+         "--samples", "200", "-o", ""],
+    ],
+    ids=["simulate-parent-probs", "simulate-manifest", "simulate-out",
+         "fit-manifest", "fit-out", "prune-out", "icp-out", "experiment-out",
+         "benchmark-out"],
+)
+def test_empty_flag_value_is_usage_error(argv, sim_dir, tmp_path, monkeypatch,
+                                         capsys):
+    model = tmp_path / "model.json"
+    save_model_json(Conjunction(rules=(Rule(0, 1),)), model)
+    paths = dict(data=sim_dir / "dataset.csv", model=model)
+    argv = [arg.format(**paths) for arg in argv]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "must not be empty" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _run_in(cwd, argv, monkeypatch, capsys):
+    """Exit code, stdout, stderr and every file written for ``main(argv)`` run
+    in the empty directory ``cwd``."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    files = {
+        str(path.relative_to(cwd)): path.read_bytes()
+        for path in sorted(cwd.rglob("*")) if path.is_file()
+    }
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        (["fit", "--data", "{data}", "--no-prune", "--manifest", "m1.json"],
+         ["fit", "--data", "{data}", "--manifest", "m2.json"]),
+        (["simulate", "--force", "--n-env", "1", "--samples", "100", "-o", "one"],
+         ["simulate", "--n-env", "1", "--samples", "100", "-o", "one"]),
+        (["fit"], ["fit", "--data", "{data}", "-o", "model.json"]),
+    ],
+    ids=["manifest-prune", "force", "usage-error"],
+)
+def test_shared_parser_leaks_nothing_between_calls(first, then, sim_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    data = str(sim_dir / "dataset.csv")
+    first, then = ([arg.format(data=data) for arg in a] for a in (first, then))
+    build_parser.cache_clear()
+    alone = _run_in(tmp_path / "alone", then, monkeypatch, capsys)
+    _run_in(tmp_path / "first", first, monkeypatch, capsys)
+    after = _run_in(tmp_path / "after", then, monkeypatch, capsys)
+    assert after == alone
+    if "m2.json" in then:
+        assert json.loads(after[3]["m2.json"])["prune"] == IcscmConfig.prune
+    if "one" in then:
+        assert after[0] == 2 and after[3] == {}
+
+
+def test_parser_is_built_once_with_unchanged_help(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["fit"])
+    for command in ([], ["simulate"], ["fit"], ["prune"], ["icp"],
+                    ["experiment"], ["benchmark"]):
+        helps = []
+        for parser in (build_parser(), build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(command + ["--help"])
+            assert excinfo.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith("usage: rulecover")
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(rulecover.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, rulecover.cli; print(sorted("
+        "{'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out == "[]\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import math
@@ -352,7 +353,8 @@ def test_jobs_start_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # run_identification imports the pool from here, on its jobs > 1 branch only
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     grid = _small_grid(methods=("scm",), xb_sizes=(1,), n_runs=2, jobs=500)
     results = run_identification(grid)
     assert started == [2]
