@@ -6,9 +6,10 @@ table of counts, (R, 2, k) int64 (cached sufficient statistics, Moore & Lee,
 JAIR 1998). The greedy fits sum every stump's leaf table from it
 (``leaf_label_env_counts``); ICP and icscm's pruning sum each subset's
 strata (``_subset_counts``), and ICP sums a held level from the level above
-(``_marginal_level_counts``). Rows of up to 62 features, strata and env ids
-are numbered by ``_dense_ids``, which returns the ids it numbered, so this
-module alone decides which strata a table holds; callers index by key.
+(``_marginal_level_counts``). Every row, stratum and env id is numbered by
+``_dense_ids``, which returns the ids it numbered, so this module alone
+decides which strata a table holds; callers index by key. A row wider than
+``_MAX_KEY_BITS`` columns has no int64 key, so each such sample is its own row.
 """
 
 import operator
@@ -19,6 +20,8 @@ from .errors import DataError
 
 # Recorded in experiment manifests and benchmark records.
 BACKEND = "python"
+# Columns that pack into one non-negative int64 key (``joint_strata``).
+_MAX_KEY_BITS = 62
 
 
 def leaf_label_env_counts(rows, counts, index, value):
@@ -87,10 +90,11 @@ def _count_table(dataset, sort_wide, pool_envs=False):
     numbered densely in ascending order. ``pool_envs`` counts every sample
     in one environment (k = 1), for a fit that never reads env ids.
 
-    The distinct rows are found by ``_distinct_rows``, in ascending packed
-    key, when ``sort_wide`` is set or the 2**d keys are at most the sample
-    count (``_dense_ids`` then needs no sort); otherwise every sample is its
-    own row, with a count of 1.
+    The distinct rows are numbered by ``_dense_ids`` over their packed keys,
+    in ascending key, when the 2**d keys are at most the sample count
+    (``_dense_ids`` then needs no sort), or when ``sort_wide`` is set and a
+    row packs into one key (d <= ``_MAX_KEY_BITS``); otherwise every sample
+    is its own row, with a count of 1.
     """
     features = dataset.features
     m, d = features.shape
@@ -99,8 +103,9 @@ def _count_table(dataset, sort_wide, pool_envs=False):
     else:
         envs, env_ids = _dense_ids(dataset.envs)
         k = len(env_ids)
-    if sort_wide or 2**d <= m:
-        rows, row_ids = _distinct_rows(features)
+    if 2**d <= m or (sort_wide and d <= _MAX_KEY_BITS):
+        row_ids, keys = _dense_ids(joint_strata(features, range(d)))
+        rows = _unpack_keys(keys, d)
     else:
         rows, row_ids = features, np.arange(m)
     counts = stratified_label_env_counts(
@@ -114,21 +119,6 @@ def _unpack_keys(keys, width):
     columns: a row is its key's bits, lowest first."""
     key_bytes = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(key_bytes, axis=1, count=width, bitorder="little")
-
-
-def _distinct_rows(features):
-    """The distinct rows of a 0/1 matrix in ascending key, and the index
-    into them of every sample. Rows of up to 62 features are keyed by one
-    packed integer and numbered by ``_dense_ids``, wider rows by their
-    packed bytes."""
-    d = features.shape[1]
-    if d <= 62:
-        row_ids, keys = _dense_ids(joint_strata(features, range(d)))
-        return _unpack_keys(keys, d), row_ids
-    packed = np.packbits(features, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, row_ids = np.unique(keys, return_index=True, return_inverse=True)
-    return features[first], row_ids
 
 
 def _subset_counts(table, rows, subset):
@@ -211,7 +201,7 @@ def joint_strata(features, feature_indices):
             f"feature indices must be distinct columns of {d}-column data, "
             f"got {cols}"
         )
-    if len(cols) > 62:
+    if len(cols) > _MAX_KEY_BITS:
         raise DataError(f"cannot pack {len(cols)} features into stratum ids")
     weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)
     if len(cols) <= 24:

@@ -7,7 +7,8 @@ intersection of all subsets whose test does not reject independence. Costs
 refuses a run of more than 2**20 tests, capped or not.
 
 The data is read once, as ``_kernels``' count table: each distinct feature
-row with its (label, environment) counts. Every subset's table is summed
+row with its (label, environment) counts; above 62 features, which only a
+capped scan reaches, each sample is its own row. Every subset's table is summed
 from it (``_subset_counts``, which pruning in icscm.py shares), in one scan
 over the sizes s from the largest tested size down to 0. Each size is
 decided, scored and recorded in that scan, and takes one of three branches.

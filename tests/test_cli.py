@@ -37,12 +37,18 @@ def test_parse_xb_sizes():
         parse_xb_sizes("4..1")
     with pytest.raises(ConfigError):
         parse_xb_sizes("abc")
+    with pytest.raises(ConfigError, match="bad size range '1..x'"):
+        parse_xb_sizes("1..x")
+    with pytest.raises(ConfigError, match="no sizes in ','"):
+        parse_xb_sizes(",")
 
 
 def test_parse_parent_probs():
     assert parse_parent_probs("0.1,0.5;0.5,0.3") == ((0.1, 0.5), (0.5, 0.3))
     with pytest.raises(ConfigError):
         parse_parent_probs("0.1;0.2,0.3")
+    with pytest.raises(ConfigError, match="bad probability in 'a,b'"):
+        parse_parent_probs("a,b")
 
 
 @pytest.fixture

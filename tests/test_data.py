@@ -79,6 +79,8 @@ def test_empty_conjunction_predicts_one():
     X = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     assert Conjunction().predict(X).tolist() == [1, 1]
     assert Conjunction(is_disjunction=True).predict(X).tolist() == [0, 0]
+    assert str(Conjunction()) == "<empty conjunction>"
+    assert str(Conjunction(is_disjunction=True)) == "<empty disjunction>"
 
 
 def test_conjunction_truth_table():
@@ -194,6 +196,14 @@ def test_candidate_rules_match_column_loop_reference(m, d):
 def test_dataset_validation():
     with pytest.raises(DataError):
         _dataset([[0, 2]])
+    for shape in [(2,), (2, 1, 1)]:
+        with pytest.raises(DataError, match="features must be a 2-D matrix"):
+            Dataset(features=np.zeros(shape), labels=[0, 1], envs=[0, 1])
+    for m, d in [(0, 2), (2, 0)]:
+        with pytest.raises(DataError, match="at least one sample and one feature"):
+            Dataset(features=np.zeros((m, d)), labels=[0] * m, envs=[0] * m)
+    with pytest.raises(DataError, match="labels must be 0/1 valued"):
+        Dataset(features=np.zeros((3, 1)), labels=[0, 2, 0], envs=[0, 1, 0])
     with pytest.raises(DataError):
         Dataset(
             features=np.zeros((2, 1), dtype=np.uint8),
@@ -255,6 +265,19 @@ def test_conjunction_refuses_what_it_cannot_read(kwargs, message):
     # "no" would be read as a disjunction by truthiness
     with pytest.raises(DataError, match=re.escape(message)):
         Conjunction(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"model_type": "conjunction"}, "malformed model document: 'rules'"),
+        ([], "malformed model document: list indices must be"),
+        ({"model_type": "xor", "rules": []}, "unknown model_type 'xor'"),
+    ],
+)
+def test_model_document_refusals(doc, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        Conjunction.from_dict(doc)
 
 
 def test_conjunction_stores_rules_as_a_tuple_and_a_python_bool():
@@ -341,6 +364,9 @@ def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,label\n0,1,0\n")
     with pytest.raises(DataError, match="header"):
+        load_dataset_csv(path)
+    path.write_text("")
+    with pytest.raises(DataError, match="bad.csv: empty file"):
         load_dataset_csv(path)
 
 
@@ -682,3 +708,5 @@ def test_model_json_round_trip(tmp_path):
     assert stop == "max_rules"
     X = (np.random.default_rng(0).random((20, 3)) < 0.5).astype(np.uint8)
     assert np.array_equal(loaded.predict(X), model.predict(X))
+    with pytest.raises(DataError, match="cannot read .*missing.json"):
+        load_model_json(tmp_path / "missing.json")

@@ -47,6 +47,8 @@ def test_grid_validation():
         ExperimentGrid(methods=("dt",))
     with pytest.raises(ConfigError):
         ExperimentGrid(xb_sizes=())
+    with pytest.raises(ConfigError, match="xb_sizes must be non-negative"):
+        ExperimentGrid(xb_sizes=(-1,))
     with pytest.raises(ConfigError):
         ExperimentGrid(n_runs=0)
     with pytest.raises(ConfigError, match="master_seed"):

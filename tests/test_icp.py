@@ -191,19 +191,21 @@ def _wide_dataset(d):
     return ds, 2
 
 
-def _wide_repeated_rows_dataset():
-    # 70 features do not pack into one int64 key, so the distinct rows are
-    # found from their packed bytes; every row repeats one of 40 patterns
-    rng = np.random.default_rng(70)
+def _repeated_rows_dataset(d):
+    # every row repeats one of 40 patterns; rows of up to 62 features pack
+    # into one int64 key, and ICP counts them as the 40 distinct rows, but a
+    # wider row has no key, so each of its samples is counted as its own row
+    rng = np.random.default_rng(d)
     m = 300
-    patterns = rng.integers(0, 2, (40, 70), dtype=np.uint8)
+    patterns = rng.integers(0, 2, (40, d), dtype=np.uint8)
     rows = np.concatenate([np.arange(40), rng.integers(0, 40, m - 40)])
     dataset = Dataset(
         features=patterns[rows],
         labels=rng.integers(0, 2, m, dtype=np.uint8),
         envs=rng.integers(0, 2, m),
     )
-    assert len(_kernels._count_table(dataset, sort_wide=True)[0]) == 40
+    n_rows = 40 if d <= 62 else m
+    assert len(_kernels._count_table(dataset, sort_wide=True)[0]) == n_rows
     return dataset, 1
 
 
@@ -217,7 +219,9 @@ REFERENCE_CASES = {
     "constant_column": _constant_column_dataset,
     "d25_capped": lambda: _wide_dataset(25),
     "d70_capped": lambda: _wide_dataset(70),
-    "d70_repeated_rows": _wide_repeated_rows_dataset,
+    "d62_repeated_rows": lambda: _repeated_rows_dataset(62),
+    "d63_repeated_rows": lambda: _repeated_rows_dataset(63),
+    "d70_repeated_rows": lambda: _repeated_rows_dataset(70),
     # d = 12 over m = 200 samples: every size from 8 up has more strata than
     # distinct rows, and is held with its unoccupied strata at 0
     "sparse_rows_held": lambda: (

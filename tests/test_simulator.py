@@ -29,6 +29,8 @@ def test_config_validation():
         SimConfig(n_envs=3)  # no default parent table beyond two envs
     with pytest.raises(ConfigError):
         SimConfig(parent_probs=((0.5, 0.5),))  # one row for two envs
+    with pytest.raises(ConfigError, match="exactly two entries"):
+        SimConfig(parent_probs=((0.5, 0.5, 0.5), (0.5, 0.5)))
 
 
 def test_shapes_and_partition():
