@@ -10,6 +10,8 @@ strata (``_subset_counts``), and ICP sums a held level from the level above
 ``_dense_ids``, which returns the ids it numbered, so this module alone
 decides which strata a table holds; callers index by key. A row wider than
 ``_MAX_KEY_BITS`` columns has no int64 key, so each such sample is its own row.
+Callers see every count array as (..., 2, k), label then environment; only
+the bodies of these functions flatten a table's cells.
 """
 
 import operator
@@ -123,7 +125,7 @@ def _unpack_keys(keys, width):
 
 def _subset_counts(table, rows, subset):
     """The strata of ``subset`` as ``joint_strata`` packs them, in ascending
-    key, and their (n_strata, width) counts summed from the per-row
+    key, and their (n_strata, 2, k) counts summed from the (R, 2, k) per-row
     ``table``: all 2**|S| strata when they are at most the distinct rows,
     else only the occupied ones, numbered by ``_dense_ids``."""
     strata = joint_strata(rows, subset)
@@ -131,14 +133,14 @@ def _subset_counts(table, rows, subset):
         keys = np.arange(2 ** len(subset))
     else:
         strata, keys = _dense_ids(strata)
-    return keys, np.stack(
-        [np.bincount(strata, weights=cell, minlength=len(keys)) for cell in table.T],
-        axis=1,
-    )
+    cells = table.reshape(-1, table.shape[1] * table.shape[2]).T
+    sums = [np.bincount(strata, weights=cell, minlength=len(keys)) for cell in cells]
+    return keys, np.stack(sums, axis=1).reshape(len(keys), *table.shape[1:])
 
 
 def _marginal_level_counts(parents, parent_subsets, subsets):
-    """Counts of the size-s ``subsets`` from ``parents``, the held counts of
+    """(subsets, 2**s, 2, k) counts of the size-s ``subsets`` from
+    ``parents``, the (parent_subsets, 2**(s + 1), 2, k) held counts of
     ``parent_subsets``, every size-(s + 1) subset in ``combinations`` order.
     A subset's parent adds its smallest missing column c and is found by its
     position in ``parent_subsets``; c sits at bit c of the parent's stratum
@@ -157,9 +159,9 @@ def _marginal_level_counts(parents, parent_subsets, subsets):
     low = strata & (bit - 1)
     strata = low | ((strata ^ low) << 1)
     strata += (np.array(parent, dtype=np.intp) * 2 ** (size + 1))[:, None]
-    flat = parents.reshape(-1, parents.shape[2])
-    counts = flat[strata]
-    counts += flat[strata | bit]
+    tables = parents.reshape(-1, *parents.shape[2:])
+    counts = tables[strata]
+    counts += tables[strata | bit]
     return counts
 
 

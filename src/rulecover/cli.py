@@ -10,7 +10,9 @@ defaults: --data, --model, -o/--out, --manifest, --force, --method,
 --manifest or --parent-probs is refused as a usage error.
 
 Exit codes: 0 success, 2 usage/config error or unwritable output, 3 data
-error, 4 refused as infeasible. All randomness flows from --seed.
+error, 4 refused as infeasible or as an allocation the machine cannot make
+(numpy's MemoryError, such as ``simulate --xb 100000000000000000``). All
+randomness flows from --seed.
 """
 
 import argparse
@@ -120,16 +122,18 @@ def cmd_simulate(args):
     return 0
 
 
+def _print_selected(names, selected):
+    """Print the ``selected features`` line: ``name (#j)`` for each sorted
+    index j in ``selected``, or ``(none)``."""
+    listed = ", ".join(f"{names[j]} (#{j})" for j in selected)
+    print(f"selected features: {listed or '(none)'}")
+
+
 def _print_fit_report(dataset, report):
     model = report.model
     print(f"model: {model}")
     print(f"stop_reason: {report.stop_reason.value}")
-    names = dataset.feature_names
-    selected = sorted(report.selected_features)
-    print(
-        "selected features: "
-        + (", ".join(f"{names[j]} (#{j})" for j in selected) if selected else "(none)")
-    )
+    _print_selected(dataset.feature_names, sorted(report.selected_features))
     error = float((model.predict(dataset.features) != dataset.labels).mean())
     print(f"training error: {error:.6f}")
     for i, rec in enumerate(report.per_iteration_log, start=1):
@@ -198,13 +202,9 @@ def cmd_icp(args):
     report = icp_report(dataset, config)
     selected = sorted(report.selected)
     n_accepted = sum(t.accepted for t in report.tests)
-    names = dataset.feature_names
     print(f"tested {len(report.tests)} subsets")
     print(f"accepted {n_accepted} subsets")
-    print(
-        "selected features: "
-        + (", ".join(f"{names[j]} (#{j})" for j in selected) if selected else "(none)")
-    )
+    _print_selected(dataset.feature_names, selected)
     if args.out is not None:
         doc = {
             "selected": selected,
@@ -379,7 +379,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InfeasibleError as exc:
+    except (InfeasibleError, MemoryError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
 

@@ -22,8 +22,9 @@ With k environments:
   is one (a subset's table is a marginal of its parent's, the subset plus
   its smallest missing column): O(2**s) per subset. The first held level of
   a scan is counted subset by subset over the distinct rows, O(R) per
-  subset, each subset's strata placed by their keys. A held level is scored
-  a block of subsets at a time, with a fixed handful of numpy calls per block.
+  subset, each subset's strata placed by their keys. A held level, one
+  (C(d, s), 2**s, 2, k) array, is scored a block of subsets at a time, with
+  a fixed handful of numpy calls per block.
 - Otherwise each subset is counted and scored on its own over the distinct
   rows, in the strata ``_subset_counts`` holds: O(R) time and memory.
 
@@ -31,7 +32,9 @@ Memory is O(R) per subset counted on its own. A held level takes at most
 three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
 level summed from it and one temporary) plus scoring blocks of
 ``_BLOCK_CELLS`` cells.
-Counts are exact integers, and every subset is scored by
+Counts are exact integers, in a float64 copy of the count table made once,
+because every subset's ``np.bincount`` reads float64 weights (an int64
+table is cast on each call). Every subset is scored by
 ``stats.stratified_tests``, which sums its statistic over its own tables:
 the terms in ascending stratum order, grouped as numpy's ``.sum`` groups a
 contiguous run of them. So p-values do not depend on how the subsets were
@@ -130,7 +133,8 @@ def icp_report(dataset, config):
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
     rows, table = kernels._count_table(dataset, sort_wide=True)
     k = table.shape[2]
-    table = table.reshape(len(rows), 2 * k).astype(np.float64)
+    # once: each subset's np.bincount reads float64 weights
+    table = table.astype(np.float64)
     levels, held = [], None
     for size in range(max_size, -1, -1):
         subsets = list(combinations(range(d), size))
@@ -141,20 +145,19 @@ def icp_report(dataset, config):
             held, results = None, []
             for subset in subsets:
                 _, counts = kernels._subset_counts(table, rows, subset)
-                results += stratified_tests(counts.reshape(1, -1, 2, k))
+                results += stratified_tests(counts[None])
         else:
             if held is None:
-                held = np.zeros((len(subsets), 2**size, 2 * k))
+                held = np.zeros((len(subsets), 2**size, 2, k))
                 for i, subset in enumerate(subsets):
                     keys, counts = kernels._subset_counts(table, rows, subset)
                     held[i, keys] = counts
             else:
                 held = kernels._marginal_level_counts(held, held_subsets, subsets)
             held_subsets, results = subsets, []
-            level = held.reshape(len(subsets), -1, 2, k)
-            step = max(1, _BLOCK_CELLS // level[0].size)
-            for start in range(0, len(level), step):
-                results += stratified_tests(level[start : start + step])
+            step = max(1, _BLOCK_CELLS // held[0].size)
+            for start in range(0, len(held), step):
+                results += stratified_tests(held[start : start + step])
         levels.append(
             [
                 SubsetTest(subset, r.p_value, r.p_value > config.alpha, r.degenerate)

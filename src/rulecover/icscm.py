@@ -8,8 +8,6 @@ independent of the environment given the other selected features.
 from dataclasses import dataclass, replace
 from functools import partial
 
-import numpy as np
-
 from . import _kernels as kernels
 from .data import Conjunction, _rule_arrays
 from .errors import ConfigError, _require_bool, _require_fields, _require_int
@@ -125,12 +123,10 @@ def prune(model, dataset, alpha, table=None):
     if table is None:
         table = kernels._count_table(dataset, sort_wide=False)
     rows, counts = table
-    k = counts.shape[2]
-    flat = counts.reshape(len(rows), 2 * k).astype(np.float64)
     # Every test conditions on some of the model's features, so the table is
     # first summed over their strata, each a row of the model's columns.
     columns = sorted(model.feature_indices())
-    keys, flat = kernels._subset_counts(flat, rows, columns)
+    keys, counts = kernels._subset_counts(counts, rows, columns)
     rows = kernels._unpack_keys(keys, len(columns))
     position = {feature: i for i, feature in enumerate(columns)}
     rules = list(model.rules)
@@ -141,8 +137,8 @@ def prune(model, dataset, alpha, table=None):
             remaining = {
                 position[r.feature_index] for j, r in enumerate(rules) if j != idx
             }
-            _, strata = kernels._subset_counts(flat, rows, remaining)
-            result = stratified_tests(strata.reshape(1, -1, 2, k))[0]
+            _, strata = kernels._subset_counts(counts, rows, remaining)
+            result = stratified_tests(strata[None])[0]
             if result.p_value > alpha:
                 del rules[idx]
                 removed = True

@@ -372,6 +372,18 @@ def test_icp_infeasible_exit_code(tmp_path, monkeypatch, capsys):
     assert "subset tests" in capsys.readouterr().err
 
 
+def test_allocation_beyond_the_address_space_is_refused(tmp_path, capsys):
+    # 2 * (10**17 + 3) bytes exceed any 57-bit address space, so the feature
+    # array fails at mmap whatever the overcommit setting, allocating nothing
+    out = tmp_path / "huge"
+    argv = ["simulate", "--xb", "100000000000000000", "--samples", "1"]
+    assert main([*argv, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("refused:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     out = tmp_path / "exp"
     code = main(

@@ -1,4 +1,5 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,83 @@ def test_weighted_leaf_counts_match_brute_force(seed, shape):
     for rules in (_both_polarities(d), drawn):
         got = _leaf_counts(rows, None, None, None, rules, counts=counts)
         assert np.array_equal(got, _brute_weighted_leaf_counts(rows, counts, rules))
+
+
+def _drawn_table(seed, d, n_patterns, k):
+    """0/1 rows over d columns, random (n_patterns 0) or repeating up to
+    n_patterns drawn patterns, with per-row int64 (2, k) counts. There are
+    1 to 2**d - 1 rows, so the full column set has more strata than rows
+    and the empty one fewer."""
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(1, 2**d))
+    rows = rng.integers(0, 2, (n_rows, d), dtype=np.uint8)
+    if n_patterns:
+        rows = rows[rng.integers(0, min(n_patterns, n_rows), n_rows)]
+    counts = rng.integers(0, 5, (n_rows, 2, k)).astype(np.int64)
+    return rows, counts
+
+
+def _brute_subset_counts(rows, table, subset):
+    """{stratum key: (2, k) counts}, the key packing the subset's columns in
+    ascending order, lowest bit first; cell [a, b] sums the rows' label-a,
+    env-b counts."""
+    sums = {}
+    for row, row_counts in zip(rows.tolist(), table):
+        key = sum(row[c] << bit for bit, c in enumerate(sorted(subset)))
+        cells = sums.setdefault(key, np.zeros(table.shape[1:], dtype=np.int64))
+        for label in range(2):
+            for env in range(table.shape[2]):
+                cells[label, env] += row_counts[label, env]
+    return sums
+
+
+def _dense_level(rows, table, size):
+    """Every size-``size`` subset's counts, each stratum at its key:
+    (C(d, size), 2**size, 2, k)."""
+    subsets = list(combinations(range(rows.shape[1]), size))
+    level = np.zeros((len(subsets), 2**size, *table.shape[1:]))
+    for i, subset in enumerate(subsets):
+        for key, cells in _brute_subset_counts(rows, table, subset).items():
+            level[i, key] = cells
+    return subsets, level
+
+
+# a _drawn_table's seed, d, n_patterns and k, then a draw of its columns
+_TABLE_DRAWS = (
+    st.integers(0, 2**31), st.integers(1, 7), st.integers(0, 11),
+    st.sampled_from([1, 2, 3]), st.data(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_TABLE_DRAWS)
+def test_subset_counts_keep_label_then_env_axes(seed, d, n_patterns, k, data):
+    # chi-square and G statistics are blind to a transposed table, so the
+    # layout is checked here, on the counts themselves
+    rows, table = _drawn_table(seed, d, n_patterns, k)
+    drawn = data.draw(st.sets(st.integers(0, d - 1)))
+    for subset in (drawn, (), range(d)):
+        keys, got = kernels._subset_counts(table, rows, subset)
+        want = _brute_subset_counts(rows, table, subset)
+        if 2 ** len(subset) <= len(rows):
+            assert keys.tolist() == list(range(2 ** len(subset)))
+        else:
+            assert keys.tolist() == sorted(want)
+        assert got.shape == (len(keys), 2, k)
+        for key, cells in zip(keys.tolist(), got):
+            assert np.array_equal(cells, want.get(key, np.zeros((2, k))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_TABLE_DRAWS)
+def test_marginal_level_counts_match_the_dense_level(seed, d, n_patterns, k, data):
+    rows, table = _drawn_table(seed, d, n_patterns, k)
+    size = data.draw(st.integers(0, d - 1))
+    parent_subsets, parents = _dense_level(rows, table, size + 1)
+    subsets, want = _dense_level(rows, table, size)
+    got = kernels._marginal_level_counts(parents, parent_subsets, subsets)
+    assert got.shape == (len(subsets), 2**size, 2, k)
+    assert np.array_equal(got, want)
 
 
 def test_python_backend_matches_brute_force():
