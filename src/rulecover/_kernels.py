@@ -1,17 +1,27 @@
 """Every count the fits and tests read, in numpy.
 
-The data is read once, by ``_count_table``, the builder every fit and ICP
-use: it gives each of the R distinct feature rows a (label, environment)
-table of counts, (R, 2, k) int64 (cached sufficient statistics, Moore & Lee,
-JAIR 1998). The greedy fits sum every stump's leaf table from it
-(``leaf_label_env_counts``); ICP and icscm's pruning sum each subset's
-strata (``_subset_counts``), and ICP sums a held level from the level above
-(``_marginal_level_counts``). Every row, stratum and env id is numbered by
+The data is read once, by ``_count_table``, the builder ICP, pruning and
+the greedy fits on narrow data use: it gives each of the R distinct feature
+rows a (label, environment) table of counts, (R, 2, k) int64 (cached
+sufficient statistics, Moore & Lee, JAIR 1998). The greedy fits sum every
+stump's leaf table from it (``leaf_label_env_counts``); ICP and icscm's
+pruning sum each subset's strata (``_subset_counts``), and ICP sums a held
+level from the level above (``_marginal_level_counts``). Every row, stratum and env id is numbered by
 ``_dense_ids``, which returns the ids it numbered, so this module alone
 decides which strata a table holds; callers index by key. A row wider than
 ``_MAX_KEY_BITS`` columns has no int64 key, so each such sample is its own row.
 Callers see every count array as (..., 2, k), label then environment; only
 the bodies of these functions flatten a table's cells.
+
+A greedy fit whose 2**d row keys outnumber its m samples would keep one row
+per sample, so it holds the data bit-packed instead (``_packed_table``), as
+the Set Covering Machine's Kover learner does (Drouin et al., BMC Genomics
+2016): each feature column is W uint64 words, W = ceil(m / 64), whose bytes
+are ``np.packbits`` of the column in little bit order (sample i at bit i % 8
+of byte i // 8), and each (label, env) group is a mask in that layout. A
+stump's leaf count is then the popcount of column AND group mask, an exact
+integer. The Dataset packs its columns once and keeps them
+(``Dataset._packed_columns``); only the group masks are built per fit.
 """
 
 import operator
@@ -24,49 +34,75 @@ from .errors import DataError
 BACKEND = "python"
 # Columns that pack into one non-negative int64 key (``joint_strata``).
 _MAX_KEY_BITS = 62
+# Samples ``_pack_columns`` packs at a time; a multiple of 8, so that each
+# block starts on a whole byte of the output.
+_PACK_ROWS = 4096
 
 
 def leaf_label_env_counts(rows, counts, index, value):
-    """Per-rule (label, environment) counts over the rows a rule maps to 0.
+    """Per-rule (label, environment) counts over the samples a rule maps to 0.
 
     ``rows`` is an (R, d) 0/1 matrix with (R, 2, k) per-row (label, env)
-    ``counts``, and rule r is the stump ``rows[:, index[r]] == value[r]``.
-    Returns an (n_rules, 2, k) int64 array where cell [r, a, b] sums
-    ``counts[i, a, b]`` over the rows i the rule maps to 0.
+    ``counts``, or, from ``_packed_table``, (d, W) uint64 packed columns with
+    (2, k, W) uint64 group masks; rule r is the stump
+    ``x[index[r]] == value[r]``. Returns an (n_rules, 2, k) int64 array
+    where cell [r, a, b] counts the samples of group (a, b) the rule maps
+    to 0.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
     index = np.asarray(index, dtype=np.intp)
     value = np.asarray(value, dtype=np.uint8)
-    if rows.ndim != 2 or counts.ndim != 3 or counts.shape[1] != 2:
-        raise ValueError("rows must be 2-D and counts (n_rows, 2, n_env)")
-    if rows.shape[0] != counts.shape[0]:
-        raise ValueError("rows and counts disagree on the row count")
     if index.ndim != 1 or index.shape != value.shape:
         raise ValueError("index and value must be 1-D and of equal length")
-    n_rows, _, n_env = counts.shape
-    n_rules = index.shape[0]
-    # Column sums per (label, env) group. A rule (j, 0) maps to 0 the rows
-    # where column j is 1, and a rule (j, 1) the rest of the group.
-    groups = counts.reshape(n_rows, 2 * n_env)
-    if n_rows and groups.max() > 1:
-        # count-weighted sums, exact in float64 below 2**53 samples
-        weights = np.ascontiguousarray(groups.T, dtype=np.float64)
+    if _is_packed(rows):
+        sizes, ones = _packed_group_sums(rows, counts)
+        n_env = counts.shape[1]
+    else:
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        if rows.ndim != 2 or counts.ndim != 3 or counts.shape[1] != 2:
+            raise ValueError("rows must be 2-D and counts (n_rows, 2, n_env)")
+        if rows.shape[0] != counts.shape[0]:
+            raise ValueError("rows and counts disagree on the row count")
+        n_rows, _, n_env = counts.shape
+        # count-weighted column sums per (label, env) group, exact in
+        # float64 below 2**53 samples
+        weights = np.ascontiguousarray(
+            counts.reshape(n_rows, 2 * n_env).T, dtype=np.float64
+        )
         sizes = weights.sum(axis=1).astype(np.int64)
         ones = (weights @ rows).astype(np.int64)
-    else:
-        # at most one sample per row: sum each group's rows as they are
-        sizes = np.zeros(2 * n_env, dtype=np.int64)
-        ones = np.zeros((2 * n_env, rows.shape[1]), dtype=np.int64)
-        for g in range(2 * n_env):
-            members = groups[:, g] == 1
-            sizes[g] = np.count_nonzero(members)
-            if sizes[g]:
-                group = np.compress(members, rows, axis=0)
-                ones[g] = group.sum(axis=0, dtype=np.int32)
+    # A rule (j, 0) maps to 0 the samples where column j is 1, and a rule
+    # (j, 1) the rest of the group.
     ones = ones[:, index]
     zeros = np.where(value == 1, sizes[:, None] - ones, ones)
-    return np.ascontiguousarray(zeros.reshape(2, n_env, n_rules).transpose(2, 0, 1))
+    zeros = zeros.reshape(2, n_env, len(index))
+    return np.ascontiguousarray(zeros.transpose(2, 0, 1))
+
+
+def _is_packed(rows):
+    """Whether a table's first array is packed columns (uint64 words), not
+    0/1 rows."""
+    return rows.dtype == np.uint64
+
+
+def _packed_group_sums(columns, masks):
+    """Each (label, env) group's size, (2k,), and the number of its samples
+    where each column is 1, (2k, d), from (d, W) packed columns and (2, k, W)
+    group masks: popcounts of the masks and of column AND mask."""
+    if columns.ndim != 2 or masks.ndim != 3 or masks.shape[0] != 2:
+        raise ValueError("columns must be 2-D and masks (2, n_env, n_words)")
+    if masks.dtype != np.uint64 or columns.shape[1] != masks.shape[2]:
+        raise ValueError("columns and masks must be uint64 words of one width")
+    masks = masks.reshape(-1, masks.shape[2])
+    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+    ones = np.zeros((len(masks), len(columns)), dtype=np.int64)
+    for group in np.flatnonzero(sizes):
+        # only the words from the group's first sample to its last count
+        words = np.flatnonzero(masks[group])
+        span = slice(words[0], words[-1] + 1)
+        both = columns[:, span] & masks[group, span]
+        np.bitwise_count(both).sum(axis=1, dtype=np.int64, out=ones[group])
+    return sizes, ones
 
 
 def stratified_label_env_counts(strata, n_strata, y, e, n_env):
@@ -86,11 +122,12 @@ def stratified_label_env_counts(strata, n_strata, y, e, n_env):
     return flat.reshape(int(n_strata), 2, n_env).astype(np.int64, copy=False)
 
 
-def _count_table(dataset, sort_wide, pool_envs=False):
+def _count_table(dataset, sort_wide, pool_envs=False, columns=None):
     """The data as distinct feature rows and their (label, env) counts:
     ``rows`` (R, d) 0/1 and ``counts`` (R, 2, k) int64, with env ids
     numbered densely in ascending order. ``pool_envs`` counts every sample
-    in one environment (k = 1), for a fit that never reads env ids.
+    in one environment (k = 1), for a fit that never reads env ids;
+    ``columns`` keeps only those feature columns, in the order given.
 
     The distinct rows are numbered by ``_dense_ids`` over their packed keys,
     in ascending key, when the 2**d keys are at most the sample count
@@ -99,12 +136,10 @@ def _count_table(dataset, sort_wide, pool_envs=False):
     is its own row, with a count of 1.
     """
     features = dataset.features
+    if columns is not None:
+        features = features[:, columns]
     m, d = features.shape
-    if pool_envs:
-        envs, k = np.zeros(m, dtype=np.int64), 1
-    else:
-        envs, env_ids = _dense_ids(dataset.envs)
-        k = len(env_ids)
+    envs, k = _env_numbers(dataset, pool_envs)
     if 2**d <= m or (sort_wide and d <= _MAX_KEY_BITS):
         row_ids, keys = _dense_ids(joint_strata(features, range(d)))
         rows = _unpack_keys(keys, d)
@@ -114,6 +149,67 @@ def _count_table(dataset, sort_wide, pool_envs=False):
         row_ids, len(rows), dataset.labels, envs, k
     )
     return rows, counts
+
+
+def _greedy_table(dataset, pool_envs=False):
+    """The table a greedy fit holds: the count table's distinct rows when
+    the 2**d row keys are at most the sample count, else ``_packed_table``
+    (where the count table would keep one row per sample)."""
+    m, d = dataset.features.shape
+    if 2**d <= m:
+        return _count_table(dataset, sort_wide=False, pool_envs=pool_envs)
+    return _packed_table(dataset, pool_envs)
+
+
+def _packed_table(dataset, pool_envs=False):
+    """The data bit-packed over its samples: the Dataset's (d, W) packed
+    columns and a (2, k, W) uint64 mask of each (label, env) group, env ids
+    numbered as ``_count_table`` numbers them."""
+    envs, k = _env_numbers(dataset, pool_envs)
+    m = dataset.n_samples
+    groups = envs + k * dataset.labels.astype(np.int64)
+    masks = np.zeros((2 * k, -(-m // 64) * 8), dtype=np.uint8)
+    members = groups == np.arange(2 * k)[:, None]
+    masks[:, : -(-m // 8)] = np.packbits(members, axis=1, bitorder="little")
+    return dataset._packed_columns, masks.view(np.uint64).reshape(2, k, -1)
+
+
+def _env_numbers(dataset, pool_envs):
+    """Dense env ids in ascending id order and their count k, or every
+    sample in env 0 (k = 1) with ``pool_envs``."""
+    if pool_envs:
+        return np.zeros(dataset.n_samples, dtype=np.int64), 1
+    envs, env_ids = _dense_ids(dataset.envs)
+    return envs, len(env_ids)
+
+
+def _pack_columns(matrix):
+    """The columns of an (m, d) 0/1 uint8 matrix as (d, W) uint64 words over
+    its rows, in the layout the module docstring gives; the padding bits of
+    the last word are 0.
+
+    ``_PACK_ROWS`` rows at a time are copied into a buffer padded to whole
+    words, so the memory held beyond the output stays at one block. Each
+    eight rows' bytes, read as uint64 words, are shifted by their row's
+    offset and ORed, giving one byte per column with those eight samples'
+    bits (a byte is 0 or 1, so no shift carries into the next); the
+    (rows / 8, d) bytes are then transposed into place.
+    """
+    m, d = matrix.shape
+    width = -(-d // 8) * 8
+    out = np.zeros((d, -(-m // 64) * 8), dtype=np.uint8)
+    block = np.zeros((min(_PACK_ROWS, -(-m // 8) * 8), width), dtype=np.uint8)
+    for lo in range(0, m, _PACK_ROWS):
+        n = min(_PACK_ROWS, m - lo)
+        rows = -(-n // 8) * 8
+        block[:n, :d] = matrix[lo : lo + n]
+        block[n:rows] = 0
+        words = block[:rows].view(np.uint64).reshape(rows // 8, 8, width // 8)
+        packed = words[:, 0].copy()
+        for shift in range(1, 8):
+            packed |= words[:, shift] << shift
+        out[:, lo // 8 : (lo + rows) // 8] = packed.view(np.uint8)[:, :d].T
+    return out.view(np.uint64)
 
 
 def _unpack_keys(keys, width):

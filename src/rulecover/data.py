@@ -7,12 +7,14 @@ import json
 import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _kernels
 from .errors import DataError, _require_bool, _require_sequence
 
 # The model types a fit or a model document names, indexed by is_disjunction.
@@ -167,7 +169,9 @@ def _exact_cast(values, dtype, message):
 class Dataset:
     """Column-oriented table of binary features, binary labels and
     environment ids. Arrays are locked read-only after construction, so a
-    Dataset can be shared freely across workers.
+    Dataset can be shared freely across workers. An input array is kept only
+    when it owns its memory; a view of another array is copied, so writing
+    that other array cannot change the Dataset.
     """
 
     features: np.ndarray
@@ -179,6 +183,9 @@ class Dataset:
         features = _exact_cast(self.features, np.uint8, "features must be 0/1 valued")
         labels = _exact_cast(self.labels, np.uint8, "labels must be 0/1 valued")
         envs = _exact_cast(self.envs, np.int64, "environment ids must be integers")
+        features, labels, envs = (
+            arr if arr.flags.owndata else arr.copy() for arr in (features, labels, envs)
+        )
         if features.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         m, d = features.shape
@@ -209,6 +216,17 @@ class Dataset:
         object.__setattr__(self, "envs", envs)
         object.__setattr__(self, "feature_names", names)
 
+    @cached_property
+    def _packed_columns(self):
+        """The features bit-packed over the samples, (d, W) uint64
+        (``_kernels._pack_columns``), packed on a greedy fit's first use and
+        kept read-only. It matches the features as long as they are not
+        written, which their read-only lock refuses; only a writeable view
+        of the caller's array made before the lock gets round it."""
+        packed = _kernels._pack_columns(self.features)
+        packed.setflags(write=False)
+        return packed
+
     @property
     def n_samples(self):
         return self.features.shape[0]
@@ -232,7 +250,8 @@ def _rule_arrays(rules, n_features):
 
 def prediction_matrix(features, rules):
     """(m, n_rules) uint8 matrix of rule outputs on a 2-D feature matrix; every
-    model output and every rule a fit appends is applied through it."""
+    model output, and every rule a fit on distinct rows appends, is applied
+    through it."""
     features = np.asarray(features)
     index, values = _rule_arrays(rules, features.shape[1])
     return (np.take(features, index, axis=1) == values).view(np.uint8)

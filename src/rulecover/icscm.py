@@ -17,7 +17,7 @@ from .stats import _TEST_METHODS, _require_environments, chi2_sf
 from .stats import stratified_tests, table_stats
 
 # Not called here: the greedy engine in scm.py reads the default candidates
-# from the count table and applies each appended rule, the stop test and
+# from the fit's table and applies each appended rule, the stop test and
 # pruning score count tables, and _kernels packs the strata. The traced
 # benchmark (perfbench/layers.py) rebinds these names on this module, so
 # they stay importable from here.
@@ -64,13 +64,17 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted through De Morgan, as in ``scm_fit``.
     """
     _require_environments(dataset.envs)
-    table = kernels._count_table(dataset, sort_wide=False)
+    table = kernels._greedy_table(dataset)
     report = _greedy_fit(
         table, rules, model_type, config.p, config.max_rules,
         leaf_filter=partial(_first_invariant_leaf, config),
         stop_test=partial(_invariance_reached, config),
     )
     if config.prune and len(report.model) > 0:
+        # packed columns hold no rows to stratify, so pruning counts the
+        # model's strata from the samples
+        if kernels._is_packed(table[0]):
+            table = None
         model = prune(report.model, dataset, config.alpha, table=table)
         report = replace(
             report, model=model, selected_features=model.feature_indices()
@@ -114,20 +118,21 @@ def prune(model, dataset, alpha, table=None):
     certifies the rule's feature is not a causal parent and the rule is
     removed. The scan restarts after each removal (the conditioning set has
     changed) and repeats until a full pass removes nothing. Each test sums
-    the strata from the dataset's count table (``_kernels._count_table``),
-    which a caller that already holds it passes as ``table``.
+    its strata from the count table of the model's columns: summed from the
+    dataset's count table (``_kernels._count_table``) when a caller that
+    holds it passes it as ``table``, else counted from the samples.
     """
     alpha = _require_real("alpha", alpha, 0, 1)
     _require_environments(dataset.envs)
     _rule_arrays(model.rules, dataset.n_features)
-    if table is None:
-        table = kernels._count_table(dataset, sort_wide=False)
-    rows, counts = table
     # Every test conditions on some of the model's features, so the table is
     # first summed over their strata, each a row of the model's columns.
     columns = sorted(model.feature_indices())
-    keys, counts = kernels._subset_counts(counts, rows, columns)
-    rows = kernels._unpack_keys(keys, len(columns))
+    if table is None:
+        rows, counts = kernels._count_table(dataset, sort_wide=True, columns=columns)
+    else:
+        keys, counts = kernels._subset_counts(table[1], table[0], columns)
+        rows = kernels._unpack_keys(keys, len(columns))
     position = {feature: i for i, feature in enumerate(columns)}
     rules = list(model.rules)
     removed = True

@@ -5,14 +5,18 @@ Each iteration scores every candidate rule by utility
 ``|covered negatives| - p * |misclassified positives|``, appends the argmax
 (ties broken by lowest candidate index) and discards the samples the new rule
 settles. Training stops when no negatives remain, the length cap is hit, or
-the candidate pool is exhausted. A fit reads the data once, as a count table:
-its R distinct feature rows (R <= 2**d, or one row per sample when 2**d is
-too large for that to pay), each with a (label, env) table of counts. Every
-candidate is a stump on a 0/1 column, so one pass of count-weighted column
-sums over the rows not yet covered gives every candidate's leaf table: an
-iteration costs O(R * d) counting plus O(|rules|) gathering, and the appended
-rule is applied to those rows only. The default candidates are held as
-(index, value) arrays, and the first leaf count shows the constant columns.
+the candidate pool is exhausted. A fit reads the data once, as a table
+(``_kernels._greedy_table``). When 2**d is at most the sample count it is
+the count table's R <= 2**d distinct feature rows, each with a (label, env)
+table of counts; every candidate is a stump on a 0/1 column, so one pass of
+count-weighted column sums over the rows not yet covered gives every
+candidate's leaf table: an iteration costs O(R * d) counting plus
+O(|rules|) gathering, and the appended rule is applied to those rows only.
+Otherwise the columns are bit-packed over the samples and each (label, env)
+group is a bit mask: an iteration costs O(d * m / 64) word popcounts per
+group, and applying a rule ANDs each mask with one column. The default
+candidates are held as (index, value) arrays, and the first leaf count shows
+the constant columns.
 
 The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
 learner, which adds a leaf filter and a stopping test to it.
@@ -37,7 +41,7 @@ from .data import (
 from .errors import ConfigError, DataError, _require_fields, _require_int
 from .errors import _require_real
 
-# Not called here (a fit's candidates come from the count table); the traced
+# Not called here (a fit's candidates come from the fit's table); the traced
 # benchmark (perfbench/layers.py) rebinds this name on this module.
 from .data import candidate_rules  # noqa: F401
 
@@ -65,7 +69,7 @@ def scm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted as the conjunction of the negated rules on negated labels (De
     Morgan) and reported with the caller's rules.
     """
-    table = kernels._count_table(dataset, sort_wide=False, pool_envs=True)
+    table = kernels._greedy_table(dataset, pool_envs=True)
     return _greedy_fit(table, rules, model_type, config.p, config.max_rules)
 
 
@@ -74,30 +78,31 @@ def _greedy_fit(
 ):
     """The greedy engine shared by scm and icscm.
 
-    ``table`` is the dataset's count table, ``(rows, counts)`` from
-    ``_kernels._count_table``, and the engine holds the part of it still to
-    cover. ``rules`` defaults to the 2d stumps in ``candidate_rules``' order,
-    held as (index, value) arrays; the first leaf count, made before any stop
-    check, drops a constant column's pair (one of its leaves is empty) and
-    raises DataError when no column varies. An explicit empty list raises
-    ConfigError. Each iteration orders the available candidates by
-    (-utility, index). Without a filter the first is appended: the argmax,
-    lowest index on ties. ``leaf_filter(leaves, order)`` instead returns the
-    first candidate it accepts as (index, leaf p-value), or None to stop with
-    ``no_valid_rule``; ``leaves`` holds every candidate's (label, env) leaf
-    table over the remaining rows, summed from the feature columns. Only an
-    appended candidate becomes a ``Rule``; it is applied to the remaining
-    rows, and the rows it settles are dropped. ``stop_test(left)`` on the
-    (2, k) label/environment table of what is left then returns (p-value,
-    stop), and stop ends the fit with ``invariance_reached``. A disjunction
-    is fitted on flipped labels: candidates are counted and applied negated
-    (De Morgan), while the model and the log keep the caller's rules.
+    ``table`` is the dataset's table from ``_kernels._greedy_table``, and the
+    engine holds the samples of it still to cover (``_RowsLeft`` or
+    ``_BitsLeft``). ``rules`` defaults to the 2d stumps in
+    ``candidate_rules``' order, held as (index, value) arrays; the first leaf
+    count, made before any stop check, drops a constant column's pair (one
+    of its leaves is empty) and raises DataError when no column varies. An
+    explicit empty list raises ConfigError. Each iteration orders the
+    available candidates by (-utility, index). Without a filter the first is
+    appended: the argmax, lowest index on ties. ``leaf_filter(leaves,
+    order)`` instead returns the first candidate it accepts as (index, leaf
+    p-value), or None to stop with ``no_valid_rule``; ``leaves`` holds every
+    candidate's (label, env) leaf table over the remaining samples, summed
+    from the feature columns. Only an appended candidate becomes a ``Rule``;
+    the samples it settles are dropped. ``stop_test(left)`` on the (2, k)
+    label/environment table of what is left then returns (p-value, stop),
+    and stop ends the fit with ``invariance_reached``. A disjunction is
+    fitted on flipped labels: candidates are counted and applied negated (De
+    Morgan), while the model and the log keep the caller's rules.
     """
     if model_type not in _MODEL_TYPES:
         raise ConfigError(f"unknown model_type {model_type!r}")
     is_disjunction = bool(_MODEL_TYPES.index(model_type))
-    rows, counts = table
-    d = rows.shape[1]
+    holder = _BitsLeft if kernels._is_packed(table[0]) else _RowsLeft
+    held = holder(*table, is_disjunction)
+    d = held.n_features
     if rules is None:
         index, values = np.repeat(np.arange(d), 2), np.tile([1, 0], d)
     else:
@@ -105,20 +110,17 @@ def _greedy_fit(
         if not rules:
             raise ConfigError("empty candidate rule set")
         index, values = _rule_arrays(rules, d)
-    applied = values
-    if is_disjunction:
-        counts = np.ascontiguousarray(counts[:, ::-1])
-        applied = 1 - values
+    applied = 1 - values if is_disjunction else values
 
-    leaves = kernels.leaf_label_env_counts(rows, counts, index, applied)
+    leaves = held.leaves(index, applied)
     available = np.ones(len(index), dtype=bool)
     if rules is None:
         available = leaves.any(axis=(1, 2)).reshape(d, 2).all(axis=1).repeat(2)
         if not available.any():
             raise DataError("no feature column varies, so there is no candidate rule")
-    # The (label, env) table of the rows left: each appended rule's leaf
+    # The (label, env) table of the samples left: each appended rule's leaf
     # table is exactly what it drops.
-    left = np.einsum("ryk->yk", counts)
+    left = held.totals()
     log = []
 
     while True:
@@ -133,7 +135,7 @@ def _greedy_fit(
             break
 
         if log:
-            leaves = kernels.leaf_label_env_counts(rows, counts, index, applied)
+            leaves = held.leaves(index, applied)
         covered = leaves[:, 0, :].sum(axis=1)
         errors = leaves[:, 1, :].sum(axis=1)
         utilities = covered.astype(np.float64) - p * errors.astype(np.float64)
@@ -150,10 +152,7 @@ def _greedy_fit(
 
         rule = Rule(int(index[best]), int(values[best]))
         available[best] = False
-        kept = prediction_matrix(rows, [rule.negated() if is_disjunction else rule])
-        kept = kept[:, 0] == 1
-        rows = np.compress(kept, rows, axis=0)
-        counts = np.compress(kept, counts, axis=0)
+        held.keep(rule.negated() if is_disjunction else rule)
         left = left - leaves[best]
         stop_p = reached = None
         if stop_test is not None:
@@ -165,3 +164,47 @@ def _greedy_fit(
 
     model = Conjunction(tuple(record.rule for record in log), is_disjunction)
     return FitReport(model, model.feature_indices(), log, stop)
+
+
+class _RowsLeft:
+    """The samples a fit has not covered, as count-table rows with their
+    (R, 2, k) counts: applying a rule keeps the rows it fires on."""
+
+    def __init__(self, rows, counts, is_disjunction):
+        if is_disjunction:
+            counts = np.ascontiguousarray(counts[:, ::-1])
+        self.rows, self.counts = rows, counts
+        self.n_features = rows.shape[1]
+
+    def totals(self):
+        return np.einsum("ryk->yk", self.counts)
+
+    def leaves(self, index, applied):
+        return kernels.leaf_label_env_counts(self.rows, self.counts, index, applied)
+
+    def keep(self, rule):
+        kept = prediction_matrix(self.rows, [rule])[:, 0] == 1
+        self.rows = np.compress(kept, self.rows, axis=0)
+        self.counts = np.compress(kept, self.counts, axis=0)
+
+
+class _BitsLeft:
+    """The samples a fit has not covered, as (2, k, W) group masks over the
+    (d, W) packed columns: applying a rule ANDs every mask with its column,
+    or with the complement (the masks' padding bits stay 0)."""
+
+    def __init__(self, columns, masks, is_disjunction):
+        if is_disjunction:
+            masks = np.ascontiguousarray(masks[::-1])
+        self.columns, self.masks = columns, masks
+        self.n_features = columns.shape[0]
+
+    def totals(self):
+        return np.bitwise_count(self.masks).sum(axis=2, dtype=np.int64)
+
+    def leaves(self, index, applied):
+        return kernels.leaf_label_env_counts(self.columns, self.masks, index, applied)
+
+    def keep(self, rule):
+        column = self.columns[rule.feature_index]
+        self.masks = self.masks & (column if rule.expected_value else ~column)

@@ -23,6 +23,9 @@ from rulecover.data import (
     save_model_json,
 )
 from rulecover.errors import DataError
+from rulecover.icscm import IcscmConfig, icscm_fit
+from rulecover.scm import ScmConfig, scm_fit
+from rulecover.simulator import SimConfig, simulate
 
 from conftest import (
     evaluate,
@@ -314,6 +317,42 @@ def test_dataset_arrays_are_read_only():
     ds = _dataset([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         ds.features[0, 0] = 1
+
+
+# 300 samples of 73 features: wide enough that the fits pack the columns
+_WIDE_SIM = SimConfig(n_distractors=70, n_samples_per_env=150, seed=1)
+
+
+def _fits(dataset):
+    return icscm_fit(dataset, IcscmConfig()), scm_fit(dataset, ScmConfig())
+
+
+def test_dataset_copies_a_view_of_the_callers_array():
+    sim = simulate(_WIDE_SIM)[0]
+    base = sim.features.copy()
+    dataset = Dataset(features=base[:, :], labels=sim.labels, envs=sim.envs)
+    before = _fits(dataset)
+    base ^= 1
+    assert np.array_equal(dataset.features, sim.features)
+    assert _fits(dataset) == before == _fits(sim)
+
+
+@pytest.mark.parametrize("n_distractors", [3, 70])
+def test_fits_on_one_dataset_match_fits_on_fresh_ones(n_distractors):
+    # the packed columns a wide dataset keeps after its first fit serve
+    # every later fit, whatever the method
+    sim = simulate(SimConfig(n_distractors=n_distractors, n_samples_per_env=150))[0]
+
+    def fresh():
+        arrays = (sim.features.copy(), sim.labels.copy(), sim.envs.copy())
+        return Dataset(*arrays)
+
+    shared = fresh()
+    config = IcscmConfig(alpha=0.3, min_leaf=1)
+    first = icscm_fit(shared, config)
+    assert first == icscm_fit(fresh(), config)
+    assert scm_fit(shared, ScmConfig()) == scm_fit(fresh(), ScmConfig())
+    assert icscm_fit(shared, config) == first
 
 
 def test_csv_round_trip(tmp_path):

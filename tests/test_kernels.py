@@ -1,4 +1,5 @@
 import ast
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import rulecover
 from rulecover import _kernels as kernels
 from rulecover import stats
-from rulecover.data import Rule
+from rulecover.data import Dataset, Rule
+from rulecover.icscm import IcscmConfig, _first_invariant_leaf, _invariance_reached
+from rulecover.icscm import prune
+from rulecover.scm import _greedy_fit
 
 from conftest import evaluate
 
@@ -241,3 +245,109 @@ def test_fits_and_tests_count_through_kernels_not_the_icp_baseline():
                 imported = [node.module] + [alias.name for alias in node.names]
                 assert "icp" not in imported, f"{module} imports from icp"
     assert rulecover.joint_strata is stats.joint_strata is kernels.joint_strata
+
+
+# sample counts around one word, and across the packer's row blocks
+_PACK_SAMPLES = st.one_of(
+    st.integers(1, 63),
+    st.integers(64, 300),
+    st.sampled_from([1, 64, 128]),
+    st.integers(kernels._PACK_ROWS - 70, kernels._PACK_ROWS + 200),
+    st.integers(2 * kernels._PACK_ROWS - 3, 2 * kernels._PACK_ROWS + 70),
+)
+# column counts on both sides of 64 and of multiples of 8
+_PACK_FEATURES = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 73])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), _PACK_SAMPLES, _PACK_FEATURES)
+def test_pack_matches_packbits_of_the_transpose(seed, m, d):
+    rng = np.random.default_rng(seed)
+    matrix = (rng.random((m, d)) < rng.random(d)).astype(np.uint8)
+    packed = kernels._pack_columns(matrix)
+    words = -(-m // 64)
+    assert packed.dtype == np.uint64 and packed.shape == (d, words)
+    want = np.zeros((d, 8 * words), dtype=np.uint8)
+    want[:, : -(-m // 8)] = np.packbits(matrix.T, axis=1, bitorder="little")
+    assert np.array_equal(packed.view(np.uint8), want)
+
+
+def _drawn_dataset(seed, m, d, k):
+    """Random 0/1 data with every one of k dense env ids present."""
+    rng = np.random.default_rng(seed)
+    features = (rng.random((m, d)) < rng.random(d)).astype(np.uint8)
+    labels = (rng.random(m) < rng.random()).astype(np.uint8)
+    envs = rng.integers(0, k, m)
+    envs[:k] = np.arange(k)
+    return Dataset(features=features, labels=labels, envs=envs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31), st.integers(3, 300), st.integers(1, 70),
+    st.sampled_from([1, 2, 3]), st.booleans(),
+)
+def test_packed_leaf_counts_match_brute_force(seed, m, d, k, pool):
+    dataset = _drawn_dataset(seed, m, d, k)
+    columns, masks = kernels._packed_table(dataset, pool_envs=pool)
+    envs = np.zeros(m, dtype=np.int64) if pool else dataset.envs
+    n_env = 1 if pool else k
+    counts = _one_per_row(dataset.labels, envs, n_env)
+    rng = np.random.default_rng(seed + 1)
+    drawn = [Rule(int(j), int(v)) for j, v in rng.integers(0, [d, 2], size=(7, 2))]
+    # the whole table, then the samples one drawn rule keeps (masks ANDed
+    # with its column or the complement), as a fit holds them
+    rule = drawn[0]
+    column = columns[rule.feature_index]
+    kept = masks & (column if rule.expected_value else ~column)
+    fired = evaluate(rule, dataset.features)[:, None, None]
+    for masks, counts in ((masks, counts), (kept, counts * fired)):
+        for rules in (_both_polarities(d), drawn):
+            index = [r.feature_index for r in rules]
+            value = [r.expected_value for r in rules]
+            got = kernels.leaf_label_env_counts(columns, masks, index, value)
+            want = _brute_weighted_leaf_counts(dataset.features, counts, rules)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31), st.integers(20, 300), st.integers(1, 40),
+    st.sampled_from([1, 2, 3]), st.sampled_from(["conjunction", "disjunction"]),
+    st.booleans(), st.sampled_from([1, 10]), st.sampled_from(["chi2", "gtest"]),
+)
+def test_greedy_fit_on_packed_columns_matches_the_distinct_rows(
+    seed, m, d, k, model_type, explicit, min_leaf, method
+):
+    dataset = _drawn_dataset(seed, m, d, k)
+    rules = None
+    if explicit:
+        # a caller's list, with repeats, in any order, on any column
+        rng = np.random.default_rng(seed + 1)
+        drawn = rng.integers(0, [d, 2], size=(8, 2))
+        rules = [Rule(int(j), int(v)) for j, v in drawn]
+    config = IcscmConfig(max_rules=5, alpha=0.3, min_leaf=min_leaf, test_method=method)
+    filters = dict(
+        leaf_filter=partial(_first_invariant_leaf, config),
+        stop_test=partial(_invariance_reached, config),
+    )
+
+    def fit(table, **filters):
+        try:
+            return _greedy_fit(table, rules, model_type, 1.0, 5, **filters)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    # scm's pooled tables, then icscm's with and without pruning
+    rows = kernels._count_table(dataset, sort_wide=True, pool_envs=True)
+    packed = kernels._packed_table(dataset, pool_envs=True)
+    assert fit(packed) == fit(rows)
+    rows = kernels._count_table(dataset, sort_wide=True)
+    packed = kernels._packed_table(dataset)
+    report = fit(packed, **filters)
+    assert report == fit(rows, **filters)
+    if isinstance(report, tuple) or not report.model.rules or k == 1:
+        return  # pruning needs a model and two environments
+    pruned = prune(report.model, dataset, config.alpha)
+    assert pruned == prune(report.model, dataset, config.alpha, table=rows)

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from rulecover.data import Dataset, load_dataset_csv, save_dataset_csv
+from rulecover.icscm import IcscmConfig, icscm_fit
 from rulecover.simulator import SimConfig, simulate
 
 MiB = 2**20
@@ -68,3 +69,12 @@ def test_dataset_copies_no_array_it_can_keep(wide):
     dataset, peak = _peak(Dataset, features, labels, envs)
     assert dataset.features is features
     assert peak < MiB // 2
+
+
+def test_first_fit_on_a_wide_dataset_holds_less_than_its_features(wide):
+    # the first fit packs the columns, an eighth of the features, and keeps
+    # them on the Dataset; each call gets a fresh Dataset, so both pack
+    arrays = (wide.features, wide.labels, wide.envs)
+    datasets = iter([Dataset(*(a.copy() for a in arrays)) for _ in range(2)])
+    _, peak = _peak(lambda: icscm_fit(next(datasets), IcscmConfig()))
+    assert peak < wide.features.nbytes
