@@ -4,24 +4,26 @@ The data is read once, by ``_count_table``, the builder ICP, pruning and
 the greedy fits on narrow data use: it gives each of the R distinct feature
 rows a (label, environment) table of counts, (R, 2, k) int64 (cached
 sufficient statistics, Moore & Lee, JAIR 1998). The greedy fits sum every
-stump's leaf table from it (``leaf_label_env_counts``); ICP and icscm's
-pruning sum each subset's strata (``_subset_counts``), and ICP sums a held
-level from the level above (``_marginal_level_counts``). Every row, stratum and env id is numbered by
-``_dense_ids``, which returns the ids it numbered, so this module alone
-decides which strata a table holds; callers index by key. A row wider than
-``_MAX_KEY_BITS`` columns has no int64 key, so each such sample is its own row.
-Callers see every count array as (..., 2, k), label then environment; only
-the bodies of these functions flatten a table's cells.
+stump's leaf table from it (``leaf_label_env_counts``), scm with the env
+axis summed away; ICP and icscm's pruning sum each subset's strata
+(``_subset_counts``), and ICP sums a held level from the level above
+(``_marginal_level_counts``). Every row, stratum and env id is numbered by
+``_dense_ids`` (env ids once per Dataset, ``Dataset._env_numbering``), which
+returns the ids it numbered, so this module alone decides which strata a
+table holds; callers index by key. A row wider than ``_MAX_KEY_BITS``
+columns has no int64 key, so each such sample is its own row. Callers see
+every count array as (..., 2, k), label then environment; only the bodies
+of these functions flatten a table's cells.
 
-A greedy fit whose 2**d row keys outnumber its m samples would keep one row
-per sample, so it holds the data bit-packed instead (``_packed_table``), as
-the Set Covering Machine's Kover learner does (Drouin et al., BMC Genomics
-2016): each feature column is W uint64 words, W = ceil(m / 64), whose bytes
-are ``np.packbits`` of the column in little bit order (sample i at bit i % 8
-of byte i // 8), and each (label, env) group is a mask in that layout. A
-stump's leaf count is then the popcount of column AND group mask, an exact
-integer. The Dataset packs its columns once and keeps them
-(``Dataset._packed_columns``); only the group masks are built per fit.
+A greedy fit whose 2**d row keys outnumber its m samples holds the data
+bit-packed instead (``_packed_table``), as the Set Covering Machine's Kover
+learner does (Drouin et al., BMC Genomics 2016): each feature column is W
+uint64 words, W = ceil(m / 64), whose bytes are ``np.packbits`` of the
+column in little bit order (sample i at bit i % 8 of byte i // 8), and each
+(label, env) group is a mask in that layout. A stump's leaf count is then
+the popcount of column AND group mask, an exact integer. The Dataset packs
+its columns once and keeps them (``Dataset._packed_columns``); only the
+group masks are built per fit.
 """
 
 import operator
@@ -122,65 +124,47 @@ def stratified_label_env_counts(strata, n_strata, y, e, n_env):
     return flat.reshape(int(n_strata), 2, n_env).astype(np.int64, copy=False)
 
 
-def _count_table(dataset, sort_wide, pool_envs=False, columns=None):
+def _count_table(dataset, columns=None):
     """The data as distinct feature rows and their (label, env) counts:
-    ``rows`` (R, d) 0/1 and ``counts`` (R, 2, k) int64, with env ids
-    numbered densely in ascending order. ``pool_envs`` counts every sample
-    in one environment (k = 1), for a fit that never reads env ids;
-    ``columns`` keeps only those feature columns, in the order given.
-
-    The distinct rows are numbered by ``_dense_ids`` over their packed keys,
-    in ascending key, when the 2**d keys are at most the sample count
-    (``_dense_ids`` then needs no sort), or when ``sort_wide`` is set and a
-    row packs into one key (d <= ``_MAX_KEY_BITS``); otherwise every sample
-    is its own row, with a count of 1.
-    """
+    ``rows`` (R, d) 0/1 and ``counts`` (R, 2, k) int64, env ids numbered by
+    ``Dataset._env_numbering``; ``columns`` keeps only those feature
+    columns, in the order given. The rows are numbered by ``_dense_ids``
+    over their packed keys, in ascending key (a sort only when the 2**d keys
+    outnumber the samples); above ``_MAX_KEY_BITS`` columns every sample is
+    its own row, with a count of 1."""
     features = dataset.features
     if columns is not None:
         features = features[:, columns]
     m, d = features.shape
-    envs, k = _env_numbers(dataset, pool_envs)
-    if 2**d <= m or (sort_wide and d <= _MAX_KEY_BITS):
+    envs, env_ids = dataset._env_numbering
+    if d <= _MAX_KEY_BITS:
         row_ids, keys = _dense_ids(joint_strata(features, range(d)))
         rows = _unpack_keys(keys, d)
     else:
         rows, row_ids = features, np.arange(m)
-    counts = stratified_label_env_counts(
-        row_ids, len(rows), dataset.labels, envs, k
-    )
-    return rows, counts
+    labels, k = dataset.labels, len(env_ids)
+    return rows, stratified_label_env_counts(row_ids, len(rows), labels, envs, k)
 
 
-def _greedy_table(dataset, pool_envs=False):
+def _greedy_table(dataset):
     """The table a greedy fit holds: the count table's distinct rows when
-    the 2**d row keys are at most the sample count, else ``_packed_table``
-    (where the count table would keep one row per sample)."""
+    the 2**d row keys are at most the sample count, else ``_packed_table``."""
     m, d = dataset.features.shape
     if 2**d <= m:
-        return _count_table(dataset, sort_wide=False, pool_envs=pool_envs)
-    return _packed_table(dataset, pool_envs)
+        return _count_table(dataset)
+    return _packed_table(dataset)
 
 
-def _packed_table(dataset, pool_envs=False):
+def _packed_table(dataset):
     """The data bit-packed over its samples: the Dataset's (d, W) packed
-    columns and a (2, k, W) uint64 mask of each (label, env) group, env ids
-    numbered as ``_count_table`` numbers them."""
-    envs, k = _env_numbers(dataset, pool_envs)
-    m = dataset.n_samples
+    columns and a (2, k, W) uint64 mask of each (label, env) group."""
+    envs, env_ids = dataset._env_numbering
+    k, m = len(env_ids), dataset.n_samples
     groups = envs + k * dataset.labels.astype(np.int64)
     masks = np.zeros((2 * k, -(-m // 64) * 8), dtype=np.uint8)
     members = groups == np.arange(2 * k)[:, None]
     masks[:, : -(-m // 8)] = np.packbits(members, axis=1, bitorder="little")
     return dataset._packed_columns, masks.view(np.uint64).reshape(2, k, -1)
-
-
-def _env_numbers(dataset, pool_envs):
-    """Dense env ids in ascending id order and their count k, or every
-    sample in env 0 (k = 1) with ``pool_envs``."""
-    if pool_envs:
-        return np.zeros(dataset.n_samples, dtype=np.int64), 1
-    envs, env_ids = _dense_ids(dataset.envs)
-    return envs, len(env_ids)
 
 
 def _pack_columns(matrix):
@@ -282,29 +266,35 @@ def joint_strata(features, feature_indices):
     An empty index set yields a single all-zero stratum, which reduces the
     conditional G-test to the unconditional one. An index that is not an
     integer (as ``Rule`` checks it), negative, not below the column count, or
-    repeated raises DataError.
+    repeated raises DataError, as do features that are not 2-D and, in the
+    indexed columns, a value other than 0/1 (2 would pack as another row's
+    stratum, and 0.5 as 0).
     """
     features = np.asarray(features)
+    if features.ndim != 2:
+        raise DataError("features must be a 2-D matrix")
     try:
         cols = sorted(map(operator.index, feature_indices))
     except TypeError:
         raise DataError(
             f"feature indices must be integers, got {feature_indices!r}"
         ) from None
-    if not cols:
-        return np.zeros(features.shape[0], dtype=np.int64)
     d = features.shape[1]
-    if cols[0] < 0 or cols[-1] >= d or len(set(cols)) < len(cols):
+    if cols and (cols[0] < 0 or cols[-1] >= d) or len(set(cols)) < len(cols):
         raise DataError(
             f"feature indices must be distinct columns of {d}-column data, "
             f"got {cols}"
         )
     if len(cols) > _MAX_KEY_BITS:
         raise DataError(f"cannot pack {len(cols)} features into stratum ids")
+    bits = features[:, cols]
+    uint8 = bits.dtype == np.uint8
+    if not (bits.max(initial=0) <= 1 if uint8 else np.isin(bits, (0, 1)).all()):
+        raise DataError("features must be 0/1 valued")
     weights = np.int64(1) << np.arange(len(cols), dtype=np.int64)
     if len(cols) <= 24:
         # float32 sums of distinct powers of two below 2**24 are exact, and
         # a float32 product is two to three times faster than an int64 one
-        packed = features[:, cols].astype(np.float32) @ weights.astype(np.float32)
+        packed = bits.astype(np.float32) @ weights.astype(np.float32)
         return packed.astype(np.int64)
-    return features[:, cols].astype(np.int64) @ weights
+    return bits.astype(np.int64) @ weights

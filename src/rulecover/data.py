@@ -171,7 +171,9 @@ class Dataset:
     environment ids. Arrays are locked read-only after construction, so a
     Dataset can be shared freely across workers. An input array is kept only
     when it owns its memory; a view of another array is copied, so writing
-    that other array cannot change the Dataset.
+    that other array cannot change the Dataset. The packed columns and the
+    env numbering, kept from a fit's first use, then match the arrays; only a
+    writeable view of an owned input, made before the lock, gets round it.
     """
 
     features: np.ndarray
@@ -220,12 +222,19 @@ class Dataset:
     def _packed_columns(self):
         """The features bit-packed over the samples, (d, W) uint64
         (``_kernels._pack_columns``), packed on a greedy fit's first use and
-        kept read-only. It matches the features as long as they are not
-        written, which their read-only lock refuses; only a writeable view
-        of the caller's array made before the lock gets round it."""
+        kept read-only."""
         packed = _kernels._pack_columns(self.features)
         packed.setflags(write=False)
         return packed
+
+    @cached_property
+    def _env_numbering(self):
+        """``_kernels._dense_ids`` of the env ids, kept read-only: ``envs``
+        itself, at no memory cost, when they are dense already."""
+        numbering = _kernels._dense_ids(self.envs)
+        for arr in numbering:
+            arr.setflags(write=False)
+        return numbering
 
     @property
     def n_samples(self):

@@ -131,7 +131,7 @@ def icp_report(dataset, config):
     d = dataset.n_features
     check_feasible(d, config)
     max_size = d if config.max_subset_size is None else min(d, config.max_subset_size)
-    rows, table = kernels._count_table(dataset, sort_wide=True)
+    rows, table = kernels._count_table(dataset)
     k = table.shape[2]
     # once: each subset's np.bincount reads float64 weights
     table = table.astype(np.float64)

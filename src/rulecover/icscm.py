@@ -71,10 +71,6 @@ def icscm_fit(dataset, config, rules=None, model_type="conjunction"):
         stop_test=partial(_invariance_reached, config),
     )
     if config.prune and len(report.model) > 0:
-        # packed columns hold no rows to stratify, so pruning counts the
-        # model's strata from the samples
-        if kernels._is_packed(table[0]):
-            table = None
         model = prune(report.model, dataset, config.alpha, table=table)
         report = replace(
             report, model=model, selected_features=model.feature_indices()
@@ -120,7 +116,8 @@ def prune(model, dataset, alpha, table=None):
     changed) and repeats until a full pass removes nothing. Each test sums
     its strata from the count table of the model's columns: summed from the
     dataset's count table (``_kernels._count_table``) when a caller that
-    holds it passes it as ``table``, else counted from the samples.
+    holds it passes it as ``table``, else counted from the samples, as it is
+    when ``table`` is packed (``_kernels._packed_table``) and holds no rows.
     """
     alpha = _require_real("alpha", alpha, 0, 1)
     _require_environments(dataset.envs)
@@ -128,8 +125,8 @@ def prune(model, dataset, alpha, table=None):
     # Every test conditions on some of the model's features, so the table is
     # first summed over their strata, each a row of the model's columns.
     columns = sorted(model.feature_indices())
-    if table is None:
-        rows, counts = kernels._count_table(dataset, sort_wide=True, columns=columns)
+    if table is None or kernels._is_packed(table[0]):
+        rows, counts = kernels._count_table(dataset, columns=columns)
     else:
         keys, counts = kernels._subset_counts(table[1], table[0], columns)
         rows = kernels._unpack_keys(keys, len(columns))

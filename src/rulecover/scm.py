@@ -5,21 +5,18 @@ Each iteration scores every candidate rule by utility
 ``|covered negatives| - p * |misclassified positives|``, appends the argmax
 (ties broken by lowest candidate index) and discards the samples the new rule
 settles. Training stops when no negatives remain, the length cap is hit, or
-the candidate pool is exhausted. A fit reads the data once, as a table
-(``_kernels._greedy_table``). When 2**d is at most the sample count it is
-the count table's R <= 2**d distinct feature rows, each with a (label, env)
-table of counts; every candidate is a stump on a 0/1 column, so one pass of
-count-weighted column sums over the rows not yet covered gives every
-candidate's leaf table: an iteration costs O(R * d) counting plus
-O(|rules|) gathering, and the appended rule is applied to those rows only.
-Otherwise the columns are bit-packed over the samples and each (label, env)
-group is a bit mask: an iteration costs O(d * m / 64) word popcounts per
-group, and applying a rule ANDs each mask with one column. The default
-candidates are held as (index, value) arrays, and the first leaf count shows
-the constant columns.
+the candidate pool is exhausted. A fit reads the data once, as the table
+``_kernels._greedy_table`` builds. On the count table's R <= 2**d distinct
+feature rows, every candidate's leaf table comes from one pass of
+count-weighted column sums over the rows not yet covered: O(R * d) per
+iteration, and the appended rule is applied to those rows only. On
+bit-packed columns a leaf count is a popcount of column AND (label, env)
+group mask, O(d * m / 64) words per group, and applying a rule ANDs each
+mask with one column. The default candidates are held as (index, value)
+arrays, and the first leaf count shows the constant columns.
 
-The greedy loop (``_greedy_fit``) is shared with the invariance-filtered
-learner, which adds a leaf filter and a stopping test to it.
+The greedy loop (``_greedy_fit``) and its table are shared with the
+invariance-filtered learner, which adds a leaf filter and a stopping test.
 """
 
 import math
@@ -69,7 +66,7 @@ def scm_fit(dataset, config, rules=None, model_type="conjunction"):
     fitted as the conjunction of the negated rules on negated labels (De
     Morgan) and reported with the caller's rules.
     """
-    table = kernels._greedy_table(dataset, pool_envs=True)
+    table = kernels._greedy_table(dataset)
     return _greedy_fit(table, rules, model_type, config.p, config.max_rules)
 
 
@@ -93,15 +90,17 @@ def _greedy_fit(
     from the feature columns. Only an appended candidate becomes a ``Rule``;
     the samples it settles are dropped. ``stop_test(left)`` on the (2, k)
     label/environment table of what is left then returns (p-value, stop),
-    and stop ends the fit with ``invariance_reached``. A disjunction is
-    fitted on flipped labels: candidates are counted and applied negated (De
-    Morgan), while the model and the log keep the caller's rules.
+    and stop ends the fit with ``invariance_reached``; with neither function
+    nothing reads env ids, so the holder sums the env axis away (k = 1). A
+    disjunction is fitted on flipped labels: candidates are counted and
+    applied negated (De Morgan), while the model and the log keep the
+    caller's rules.
     """
     if model_type not in _MODEL_TYPES:
         raise ConfigError(f"unknown model_type {model_type!r}")
     is_disjunction = bool(_MODEL_TYPES.index(model_type))
     holder = _BitsLeft if kernels._is_packed(table[0]) else _RowsLeft
-    held = holder(*table, is_disjunction)
+    held = holder(*table, is_disjunction, leaf_filter is None and stop_test is None)
     d = held.n_features
     if rules is None:
         index, values = np.repeat(np.arange(d), 2), np.tile([1, 0], d)
@@ -167,10 +166,12 @@ def _greedy_fit(
 
 
 class _RowsLeft:
-    """The samples a fit has not covered, as count-table rows with their
-    (R, 2, k) counts: applying a rule keeps the rows it fires on."""
+    """Uncovered samples as count-table rows and their (R, 2, k) counts,
+    summed over env if ``pooled``: applying a rule keeps the rows it fires on."""
 
-    def __init__(self, rows, counts, is_disjunction):
+    def __init__(self, rows, counts, is_disjunction, pooled):
+        if pooled:
+            counts = np.einsum("ryk->ry", counts)[:, :, None]
         if is_disjunction:
             counts = np.ascontiguousarray(counts[:, ::-1])
         self.rows, self.counts = rows, counts
@@ -189,11 +190,14 @@ class _RowsLeft:
 
 
 class _BitsLeft:
-    """The samples a fit has not covered, as (2, k, W) group masks over the
-    (d, W) packed columns: applying a rule ANDs every mask with its column,
-    or with the complement (the masks' padding bits stay 0)."""
+    """Uncovered samples as (2, k, W) group masks over the (d, W) packed
+    columns, ORed over env if ``pooled`` (the env groups are disjoint):
+    applying a rule ANDs every mask with its column, or with the complement
+    (the masks' padding bits stay 0)."""
 
-    def __init__(self, columns, masks, is_disjunction):
+    def __init__(self, columns, masks, is_disjunction, pooled):
+        if pooled:
+            masks = np.bitwise_or.reduce(masks, axis=1, keepdims=True)
         if is_disjunction:
             masks = np.ascontiguousarray(masks[::-1])
         self.columns, self.masks = columns, masks

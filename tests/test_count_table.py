@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rulecover._kernels import _count_table
 from rulecover.data import Conjunction, Dataset, Rule, candidate_rules
 from rulecover.icscm import IcscmConfig, icscm_fit, prune
-from rulecover.scm import ScmConfig, scm_fit
+from rulecover.scm import ScmConfig, _RowsLeft, scm_fit
 from rulecover.stats import conditional_gtest, joint_strata
 
 from conftest import eager_icscm_reference, greedy_reference
@@ -65,26 +65,26 @@ def test_builder_matches_brute_force_count(shape, n_patterns, env_ids, seed):
     want_rows, want_counts = _brute_count_table(dataset)
     # narrow rows are numbered through a table of the keys present, wide
     # rows sorted; both compress to the distinct rows
-    rows, counts = _count_table(dataset, sort_wide=True)
+    rows, counts = _count_table(dataset)
     assert rows.dtype == np.uint8 and counts.dtype == np.int64
     assert np.array_equal(rows, want_rows)
     assert np.array_equal(counts, want_counts)
-    rows, counts = _count_table(dataset, sort_wide=False)
-    if shape == "narrow":
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(counts, want_counts)
-    else:
-        # one row per sample, each counted once under its label and env
-        assert np.array_equal(rows, dataset.features)
-        assert counts.shape == (dataset.n_samples, 2, len(env_ids))
-        assert (counts.sum(axis=(1, 2)) == 1).all()
-        _, envs = np.unique(dataset.envs, return_inverse=True)
-        where = np.arange(dataset.n_samples)
-        assert (counts[where, dataset.labels, envs] == 1).all()
-    # pooled: the same rows, every sample in one environment
-    rows, counts = _count_table(dataset, sort_wide=True, pool_envs=True)
-    assert np.array_equal(rows, want_rows)
-    assert np.array_equal(counts, want_counts.sum(axis=2, keepdims=True))
+    # the counts scm's engine holds: the same rows, every sample in one
+    # environment
+    held = _RowsLeft(rows, counts, False, pooled=True)
+    assert np.array_equal(held.rows, want_rows)
+    assert np.array_equal(held.counts, want_counts.sum(axis=2, keepdims=True))
+    # a row wider than 62 columns has no key: one row per sample, each
+    # counted once under its label and env
+    features = np.tile(dataset.features, -(-63 // dataset.n_features))
+    wide = Dataset(features=features, labels=dataset.labels, envs=dataset.envs)
+    rows, counts = _count_table(wide)
+    assert np.array_equal(rows, features)
+    assert counts.shape == (dataset.n_samples, 2, len(env_ids))
+    assert (counts.sum(axis=(1, 2)) == 1).all()
+    _, envs = np.unique(dataset.envs, return_inverse=True)
+    where = np.arange(dataset.n_samples)
+    assert (counts[where, dataset.labels, envs] == 1).all()
 
 
 def _applied(rules, model_type, labels):
@@ -142,6 +142,38 @@ def test_fits_on_the_count_table_match_sample_references(
         for rec in report.per_iteration_log
     ] == [(back(rule), *rest) for rule, *rest in log]
     assert report.stop_reason == stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["narrow", "wide"]),
+    st.one_of(st.none(), st.integers(1, 6)),
+    st.lists(st.sampled_from(SPARSE_IDS), min_size=1, max_size=3, unique=True),
+    st.sampled_from(["conjunction", "disjunction"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_scm_reads_no_env_id(shape, n_patterns, env_ids, model_type, explicit, seed):
+    # scm fits the table icscm fits, env axis and all, and sums it away: its
+    # report is the one on the same samples in a single environment
+    dataset = _dataset(shape, n_patterns, env_ids, seed)
+    pooled = Dataset(
+        features=dataset.features, labels=dataset.labels,
+        envs=np.zeros(dataset.n_samples, dtype=np.int64),
+    )
+    rules = None
+    if explicit:
+        rng = np.random.default_rng(seed + 1)
+        drawn = rng.integers(0, [dataset.n_features, 2], size=(8, 2))
+        rules = [Rule(int(j), int(v)) for j, v in drawn]
+
+    def fit(data):
+        try:
+            return scm_fit(data, ScmConfig(max_rules=5), rules, model_type)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert fit(dataset) == fit(pooled)
 
 
 def _prune_reference(model, dataset, alpha):

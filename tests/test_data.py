@@ -319,6 +319,31 @@ def test_dataset_arrays_are_read_only():
         ds.features[0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "envs, dense",
+    [
+        ([0, 1, 1, 0, 2], True),
+        ([2, 0, 1, 1, 0], True),
+        ([7, 10**12, 0, 7, 10**6], False),
+        ([3, 3, 3, 3, 3], False),
+    ],
+    ids=["dense", "unsorted", "sparse", "single"],
+)
+def test_dataset_numbers_its_envs_once(envs, dense):
+    ds = _dataset([[0], [1], [0], [1], [1]], envs=envs)
+    numbering = ds._env_numbering
+    numbered, env_ids = numbering
+    distinct, inverse = np.unique(ds.envs, return_inverse=True)
+    assert np.array_equal(numbered, inverse) and np.array_equal(env_ids, distinct)
+    for arr in numbering:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    second = ds._env_numbering
+    assert all(a is b for a, b in zip(second, numbering))
+    # dense ids are numbered by the Dataset's own array, at no memory cost
+    assert (numbered is ds.envs) == dense
+
+
 # 300 samples of 73 features: wide enough that the fits pack the columns
 _WIDE_SIM = SimConfig(n_distractors=70, n_samples_per_env=150, seed=1)
 

@@ -205,7 +205,7 @@ def _repeated_rows_dataset(d):
         envs=rng.integers(0, 2, m),
     )
     n_rows = 40 if d <= 62 else m
-    assert len(_kernels._count_table(dataset, sort_wide=True)[0]) == n_rows
+    assert len(_kernels._count_table(dataset)[0]) == n_rows
     return dataset, 1
 
 

@@ -13,7 +13,7 @@ from rulecover import stats
 from rulecover.data import Dataset, Rule
 from rulecover.icscm import IcscmConfig, _first_invariant_leaf, _invariance_reached
 from rulecover.icscm import prune
-from rulecover.scm import _greedy_fit
+from rulecover.scm import _BitsLeft, _greedy_fit
 
 from conftest import evaluate
 
@@ -289,9 +289,12 @@ def _drawn_dataset(seed, m, d, k):
 )
 def test_packed_leaf_counts_match_brute_force(seed, m, d, k, pool):
     dataset = _drawn_dataset(seed, m, d, k)
-    columns, masks = kernels._packed_table(dataset, pool_envs=pool)
-    envs = np.zeros(m, dtype=np.int64) if pool else dataset.envs
-    n_env = 1 if pool else k
+    columns, masks = kernels._packed_table(dataset)
+    envs, n_env = dataset.envs, k
+    if pool:
+        # the masks scm's engine holds: ORed over env, all samples in env 0
+        masks = _BitsLeft(columns, masks, False, pooled=True).masks
+        envs, n_env = np.zeros(m, dtype=np.int64), 1
     counts = _one_per_row(dataset.labels, envs, n_env)
     rng = np.random.default_rng(seed + 1)
     drawn = [Rule(int(j), int(v)) for j, v in rng.integers(0, [d, 2], size=(7, 2))]
@@ -339,12 +342,11 @@ def test_greedy_fit_on_packed_columns_matches_the_distinct_rows(
         except Exception as exc:
             return type(exc), str(exc)
 
-    # scm's pooled tables, then icscm's with and without pruning
-    rows = kernels._count_table(dataset, sort_wide=True, pool_envs=True)
-    packed = kernels._packed_table(dataset, pool_envs=True)
-    assert fit(packed) == fit(rows)
-    rows = kernels._count_table(dataset, sort_wide=True)
+    # scm (the engine sums the env axis away), then icscm with and without
+    # pruning, on the one table both fit
+    rows = kernels._count_table(dataset)
     packed = kernels._packed_table(dataset)
+    assert fit(packed) == fit(rows)
     report = fit(packed, **filters)
     assert report == fit(rows, **filters)
     if isinstance(report, tuple) or not report.model.rules or k == 1:

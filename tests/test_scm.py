@@ -239,6 +239,6 @@ def test_fit_applies_one_rule_at_a_time(fit, model_type, monkeypatch):
     assert len(report.per_iteration_log) >= 1
     n_rules, rows, kept = zip(*calls)
     assert n_rules == (1,) * len(report.per_iteration_log)
-    table_rows, _ = _count_table(ds, sort_wide=False, pool_envs=fit == "scm")
+    table_rows, _ = _count_table(ds)
     assert len(table_rows) < ds.n_samples
     assert rows == (len(table_rows),) + kept[:-1]

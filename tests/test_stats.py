@@ -411,6 +411,13 @@ def test_joint_strata_packs_bits():
         assert joint_strata(X, cols).tolist() == packed
     with pytest.raises(DataError, match="cannot pack 63 features"):
         joint_strata(wide, range(63))
+    # only the indexed columns must be 0/1, in any dtype, and no rows is fine
+    X = np.array([[0, 7], [1, 7], [0, 7]], dtype=np.uint8)
+    assert joint_strata(X, [0]).tolist() == [0, 1, 0]
+    assert joint_strata(X, []).tolist() == [0, 0, 0]
+    for dtype in (bool, np.int64, np.float64):
+        assert joint_strata(X[:, :1].astype(dtype), [0]).tolist() == [0, 1, 0]
+    assert joint_strata(np.zeros((0, 2), dtype=np.uint8), [0, 1]).tolist() == []
 
 
 @pytest.mark.parametrize(
@@ -423,6 +430,39 @@ def test_joint_strata_refuses_non_integer_columns(columns):
         joint_strata(X, columns)
     # what operator.index takes, numpy integers included, is a column
     assert joint_strata(X, [np.int64(1)]).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        np.array([0, 1, 1, 0], dtype=np.uint8),
+        np.zeros((2, 2, 2), dtype=np.uint8),
+        np.uint8(1),
+    ],
+)
+def test_joint_strata_refuses_features_that_are_not_2d(features):
+    # a 1-D array used to raise IndexError
+    for columns in ([0], []):
+        with pytest.raises(DataError, match="features must be a 2-D matrix"):
+            joint_strata(features, columns)
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        [[2, 0], [1, 1]],
+        [[0.5, 0], [1, 1]],
+        [[0, 0], [1, -1]],
+        [[0, 0], [np.nan, 1]],
+        [[256, 0], [1, 1]],
+        np.array([[0, 3], [1, 1]], dtype=np.uint8),
+    ],
+)
+def test_joint_strata_refuses_values_other_than_0_1(features):
+    # [[2, 0], ...] gave row 0 stratum 2, the stratum of a real (0, 1) row,
+    # and 0.5 packed as 0
+    with pytest.raises(DataError, match="features must be 0/1 valued"):
+        joint_strata(features, [0, 1])
 
 
 @pytest.mark.parametrize("columns", [[-1], [2], [5], [1, 1], [0, 1, 0]])
