@@ -252,7 +252,8 @@ def _dense_ids(ids):
     ids present, so memory stays bounded by the data; any other ids
     (negative, or not below their count) are sorted."""
     if ids.min() >= 0 and ids.max() < len(ids):
-        present = np.bincount(ids) > 0
+        present = np.zeros(ids.max() + 1, bool)
+        present[ids] = True
         if not present.all():
             ids = (np.cumsum(present) - 1)[ids]
         return ids, np.flatnonzero(present)

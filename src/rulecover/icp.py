@@ -38,7 +38,7 @@ table is cast on each call). Every subset is scored by
 ``stats.stratified_tests``, which sums its statistic over its own tables:
 the terms in ascending stratum order, grouped as numpy's ``.sum`` groups a
 contiguous run of them. So p-values do not depend on how the subsets were
-batched.
+batched. A subset's (p-value, dof), Python scalars, become its ``SubsetTest``.
 """
 
 import math
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import InfeasibleError, _require_fields, _require_int, _require_real
-from .stats import TestResult, _require_environments, stratified_tests
+from .stats import _require_environments, stratified_tests
 
 # Not called here (icp_report sums the same tables from the count table, and
 # _kernels packs the strata); the traced benchmark (perfbench/layers.py)
@@ -66,8 +66,6 @@ _LEVEL_CELLS = 2**20
 _BLOCK_CELLS = 2**14
 # A scan of more than 2**_FEASIBILITY_LIMIT subset tests is refused.
 _FEASIBILITY_LIMIT = 20
-# The outcome of a subset size the min_samples_per_cell guard skips.
-_UNTESTED = TestResult(statistic=0.0, dof=0, p_value=1.0, degenerate=True)
 
 
 @dataclass(frozen=True)
@@ -140,12 +138,13 @@ def icp_report(dataset, config):
         subsets = list(combinations(range(d), size))
         # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
         if dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**size:
-            results = [_UNTESTED] * len(subsets)
+            scores = [(1.0, 0)] * len(subsets)  # untested: degenerate
         elif len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
-            held, results = None, []
+            held, scores = None, []
             for subset in subsets:
                 _, counts = kernels._subset_counts(table, rows, subset)
-                results += stratified_tests(counts[None])
+                _, dofs, p_values = stratified_tests(counts[None])
+                scores += zip(p_values, dofs)
         else:
             if held is None:
                 held = np.zeros((len(subsets), 2**size, 2, k))
@@ -154,17 +153,17 @@ def icp_report(dataset, config):
                     held[i, keys] = counts
             else:
                 held = kernels._marginal_level_counts(held, held_subsets, subsets)
-            held_subsets, results = subsets, []
+            held_subsets, scores = subsets, []
             step = max(1, _BLOCK_CELLS // held[0].size)
             for start in range(0, len(held), step):
-                results += stratified_tests(held[start : start + step])
-        levels.append(
-            [
-                SubsetTest(subset, r.p_value, r.p_value > config.alpha, r.degenerate)
-                for subset, r in zip(subsets, results)
-            ]
-        )
-    tests = tuple(test for level in reversed(levels) for test in level)
+                _, dofs, p_values = stratified_tests(held[start : start + step])
+                scores += zip(p_values, dofs)
+        levels.append(zip(subsets, scores))
+    tests = tuple(
+        SubsetTest(subset, p, p > config.alpha, dof == 0)
+        for level in reversed(levels)
+        for subset, (p, dof) in level
+    )
     accepted = [frozenset(test.features) for test in tests if test.accepted]
     return IcpReport(
         selected=reduce(and_, accepted) if accepted else frozenset(), tests=tests

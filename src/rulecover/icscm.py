@@ -102,7 +102,8 @@ def _invariance_reached(config, left):
     not yet covered, with its empty env columns dropped: (p-value,
     p > alpha). An all-empty table scores p = 1, degenerate."""
     table = left[:, left.any(axis=0)]
-    gamma = stratified_tests(table[None, None], config.test_method)[0].p_value
+    _, _, p_values = stratified_tests(table[None, None], config.test_method)
+    gamma = p_values[0]
     return gamma, gamma > config.alpha
 
 
@@ -140,8 +141,8 @@ def prune(model, dataset, alpha, table=None):
                 position[r.feature_index] for j, r in enumerate(rules) if j != idx
             }
             _, strata = kernels._subset_counts(counts, rows, remaining)
-            result = stratified_tests(strata[None])[0]
-            if result.p_value > alpha:
+            _, _, p_values = stratified_tests(strata[None])
+            if p_values[0] > alpha:
                 del rules[idx]
                 removed = True
                 break

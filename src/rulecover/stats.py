@@ -4,7 +4,7 @@ Provides the chi-square survival function (via regularized incomplete gamma),
 unconditional chi-square/G independence tests on (label, environment)
 contingency tables, and the stratified (conditional) G-test used by pruning
 and the exhaustive-subset baseline. Every one of these tests is scored by
-``stratified_tests``.
+``stratified_tests`` into plain numbers; only the public tests build a TestResult.
 """
 
 import math
@@ -172,16 +172,6 @@ def table_stats(counts, method):
     return stat, dof
 
 
-def _result_from(stat, dof):
-    stat = float(stat)
-    dof = int(dof)
-    if dof == 0:
-        return TestResult(statistic=stat, dof=0, p_value=1.0, degenerate=True)
-    return TestResult(
-        statistic=stat, dof=dof, p_value=chi2_sf(stat, dof), degenerate=False
-    )
-
-
 def _label_env_counts(y, e, strata=None):
     """(n_strata, 2, k) label-by-environment counts, one table per distinct
     stratum id in ascending order (one stratum when ``strata`` is None), with
@@ -215,7 +205,7 @@ def independence_test(y, e, method="chi2"):
     and p = 1: independence is not refutable, so callers that filter on
     dependence treat the test as passing.
     """
-    return stratified_tests(_label_env_counts(y, e)[None], method)[0]
+    return _test_result(stratified_tests(_label_env_counts(y, e)[None], method))
 
 
 def _require_environments(envs):
@@ -234,7 +224,13 @@ def conditional_gtest(y, e, strata):
     The statistic and dof are accumulated over non-empty strata only, with
     per-stratum dof counting nonzero marginals.
     """
-    return stratified_tests(_label_env_counts(y, e, strata)[None])[0]
+    return _test_result(stratified_tests(_label_env_counts(y, e, strata)[None]))
+
+
+def _test_result(scores):
+    """The one set ``stratified_tests`` scored, as a TestResult."""
+    (stat,), (dof,), (p_value,) = scores
+    return TestResult(statistic=stat, dof=dof, p_value=p_value, degenerate=dof == 0)
 
 
 def stratified_tests(counts, method="gtest"):
@@ -247,6 +243,9 @@ def stratified_tests(counts, method="gtest"):
     contiguous run (``stat[a:b].sum()``). The sets with the same number of
     occupied strata are summed together, one gathered row each, so equal
     tables give bit-identical p-values however the sets are batched.
+
+    Returns per-set lists of Python scalars: statistics (float), dofs (int)
+    and p-values (float; 1.0, with no ``chi2_sf`` call, at dof 0).
     """
     n_sets, n_strata, r, c = counts.shape
     tables = counts.reshape(n_sets * n_strata, r, c)
@@ -262,7 +261,6 @@ def stratified_tests(counts, method="gtest"):
         strata = starts[group][:, None] + np.arange(size)
         set_stats[group] = stat[strata].sum(axis=1)
         set_dofs[group] = dof[strata].sum(axis=1)
-    return [
-        _result_from(set_stat, set_dof)
-        for set_stat, set_dof in zip(set_stats.tolist(), set_dofs.tolist())
-    ]
+    set_stats, set_dofs = set_stats.tolist(), set_dofs.tolist()
+    p_values = [chi2_sf(x, dof) if dof else 1.0 for x, dof in zip(set_stats, set_dofs)]
+    return set_stats, set_dofs, p_values

@@ -1,15 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rulecover import stats
+from rulecover import icp, stats
 from rulecover.errors import DataError
 from rulecover._kernels import _dense_ids
+from rulecover.icp import IcpConfig, icp_report
+from rulecover.icscm import IcscmConfig, icscm_fit
+from rulecover.simulator import SimConfig, simulate
 from rulecover.stats import (
     _label_env_counts,
-    _result_from,
     chi2_sf,
     conditional_gtest,
     independence_test,
@@ -284,11 +287,22 @@ def test_stratified_tests_match_per_set_reference(
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 8, (n_sets, n_strata, 2, k)).astype(dtype)
     counts[rng.random((n_sets, n_strata)) < 0.4] = 0
-    results = stratified_tests(counts, method)
-    assert len(results) == n_sets
-    for result, tables in zip(results, counts):
+    scores = stratified_tests(counts, method)
+    assert [len(values) for values in scores] == [n_sets] * 3
+    for *score, tables in zip(*scores, counts):
         stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
-        assert result == _result_from(stat.sum(), dof.sum())
+        _assert_score_is(score, stat.sum(), dof.sum())
+
+
+def _assert_score_is(score, stat, dof):
+    # one set's (statistic, dof, p-value) from stratified_tests, bit for bit
+    # against its summed statistic and dof: p = chi2_sf of those, 1.0 at dof 0
+    set_stat, set_dof, p_value = score
+    want_stat, want_dof = float(stat), int(dof)
+    assert set_stat.hex() == want_stat.hex()
+    assert type(set_dof) is int and set_dof == want_dof
+    want_p = chi2_sf(want_stat, want_dof) if want_dof else 1.0
+    assert p_value.hex() == want_p.hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,15 +343,12 @@ def test_stratified_tests_group_sums_match_per_set_sums(method, seed):
         strata = np.sort(rng.choice(n_strata, size, replace=False))
         counts_of_set[strata] = rng.integers(0, 30, (size, 2, k))
         counts_of_set[strata, 0, 0] += 1  # every chosen stratum occupied
-    results = stratified_tests(counts, method)
+    scores = stratified_tests(counts, method)
     tables = counts.reshape(-1, 2, k)
     stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
     ends = np.cumsum(sizes)
-    for result, a, b in zip(results, ends - sizes, ends):
-        want = _result_from(stat[a:b].sum(), dof[a:b].sum())
-        assert result.statistic.hex() == want.statistic.hex()
-        assert result.p_value.hex() == want.p_value.hex()
-        assert (result.dof, result.degenerate) == (want.dof, want.degenerate)
+    for *score, a, b in zip(*scores, ends - sizes, ends):
+        _assert_score_is(score, stat[a:b].sum(), dof[a:b].sum())
 
 
 _ID_LISTS = st.one_of(
@@ -471,3 +482,37 @@ def test_joint_strata_refuses_bad_columns(columns):
     X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     with pytest.raises(DataError, match="distinct columns of 2-column data"):
         joint_strata(X, columns)
+
+
+@pytest.mark.parametrize("level_cells", [None, 0])
+def test_reports_hold_python_scalars_only(level_cells):
+    # numpy 2 reprs a numpy scalar as np.float64(0.5), and callers compare
+    # flags with `is`: every score that reaches a report is a Python scalar,
+    # from ICP's guard-skipped sizes, held levels (level_cells None) and
+    # subsets counted on their own (0), icscm's leaf and stop tests with
+    # pruning, and the two public tests, degenerate or not
+    ds, _ = simulate(SimConfig(n_distractors=2, seed=1, n_samples_per_env=300))
+    cells = icp._LEVEL_CELLS if level_cells is None else level_cells
+    with mock.patch.object(icp, "_LEVEL_CELLS", cells):
+        report = icp_report(ds, IcpConfig(min_samples_per_cell=10))
+    # 600 samples fill 2 * 2 * 2**|S| cells 10 deep up to |S| = 3 only
+    assert {t.degenerate for t in report.tests} == {True, False}
+    for t in report.tests:
+        assert type(t.p_value) is float
+        assert type(t.accepted) is bool and type(t.degenerate) is bool
+    fit = icscm_fit(ds, IcscmConfig(prune=True))
+    assert fit.per_iteration_log
+    for rec in fit.per_iteration_log:
+        assert type(rec.leaf_p_value) is float and type(rec.stop_p_value) is float
+    y, e = ds.labels, ds.envs
+    results = [
+        independence_test(y, e, "chi2"),
+        independence_test(y, e, "gtest"),
+        independence_test(np.zeros_like(y), e),
+        conditional_gtest(y, e, ds.features[:, 0]),
+        conditional_gtest(np.zeros_like(y), e, ds.features[:, 0]),
+    ]
+    assert [r.degenerate for r in results] == [False, False, True, False, True]
+    for r in results:
+        assert type(r.statistic) is float and type(r.p_value) is float
+        assert type(r.dof) is int and type(r.degenerate) is bool
