@@ -11,34 +11,31 @@ row with its (label, environment) counts; above 62 features, which only a
 capped scan reaches, each sample is its own row. Every subset's table is summed
 from it (``_subset_counts``, which pruning in icscm.py shares), in one scan
 over the sizes s from the largest tested size down to 0. Each size is
-decided, scored and recorded in that scan, and takes one of three branches.
-With k environments:
+decided, counted and recorded in that scan, and scored a block of subsets
+per ``stratified_tests`` call. With k environments, a size is:
 
-- With fewer than ``min_samples_per_cell`` samples per cell of a size-s
-  table's 2k * 2**s cells, the size is skipped and each of its subsets is
-  recorded untested (p = 1, degenerate); only the largest sizes can be.
-- If the level's C(d, s) * 2**s tables of 2k cells fit in ``_LEVEL_CELLS``,
-  the level is held whole. It is summed from the held level above when there
-  is one (a subset's table is a marginal of its parent's, the subset plus
-  its smallest missing column): O(2**s) per subset. The first held level of
-  a scan is counted subset by subset over the distinct rows, O(R) per
-  subset, each subset's strata placed by their keys. A held level, one
-  (C(d, s), 2**s, 2, k) array, is scored a block of subsets at a time, with
-  a fixed handful of numpy calls per block.
-- Otherwise each subset is counted and scored on its own over the distinct
-  rows, in the strata ``_subset_counts`` holds: O(R) time and memory.
+- skipped, with fewer than ``min_samples_per_cell`` samples per cell of a
+  size-s table's 2k * 2**s cells: each of its subsets is recorded untested
+  (p = 1, degenerate); only the largest sizes can be.
+- held whole, one (C(d, s), 2**s, 2, k) array, if its C(d, s) * 2**s tables
+  of 2k cells fit in ``_LEVEL_CELLS``. It is summed from the held level
+  above when there is one (a subset's table is a marginal of its parent's,
+  the subset plus its smallest missing column): O(2**s) per subset. The
+  first held level of a scan is counted subset by subset over the distinct
+  rows, O(R) per subset, each subset's strata placed by their keys.
+- otherwise counted a block at a time over the distinct rows, O(R) time per
+  subset, in the at most min(2**s, R) strata ``_subset_counts`` holds.
 
-Memory is O(R) per subset counted on its own. A held level takes at most
-three level arrays of ``_LEVEL_CELLS`` float64 cells (the held level, the
-level summed from it and one temporary) plus scoring blocks of
-``_BLOCK_CELLS`` cells.
-Counts are exact integers, in a float64 copy of the count table made once,
-because every subset's ``np.bincount`` reads float64 weights (an int64
-table is cast on each call). Every subset is scored by
-``stats.stratified_tests``, which sums its statistic over its own tables:
-the terms in ascending stratum order, grouped as numpy's ``.sum`` groups a
-contiguous run of them. So p-values do not depend on how the subsets were
-batched. A subset's (p-value, dof), Python scalars, become its ``SubsetTest``.
+A block holds at most ``_BLOCK_CELLS`` cells, or one subset's O(R) strata
+when those alone are more; a held level takes at most three level arrays
+of ``_LEVEL_CELLS`` float64 cells (the held level, the level summed from it
+and one temporary). Counts are exact integers, in a float64 copy of the
+count table made once, because every subset's ``np.bincount`` reads float64
+weights (an int64 table is cast on each call). ``stats.stratified_tests``
+sums each subset's statistic over its own tables: the terms in ascending
+stratum order, grouped as numpy's ``.sum`` groups a contiguous run of them.
+So p-values do not depend on how the subsets were batched. A subset's
+(p-value, dof), Python scalars, become its ``SubsetTest``.
 """
 
 import math
@@ -121,10 +118,10 @@ def check_feasible(n_features, config):
 def icp_report(dataset, config):
     """Run the full subset scan and keep the per-subset log. One scan from
     the largest tested size down to 0 takes one branch per size: skipped by
-    the guard, counted subset by subset, counted subset by subset to seed the
-    held chain, or summed from the held size above. Every size, skipped or
-    not, is recorded in that pass; ``tests`` lists them by ascending size,
-    and ``selected`` is the intersection of the accepted subsets."""
+    the guard, counted from the rows (a block at a time, or whole to seed the
+    held chain) or summed from the held size above, and scored in blocks by
+    one loop. ``tests`` lists every size ascending, and ``selected`` is the
+    intersection of the accepted subsets."""
     _require_environments(dataset.envs)
     d = dataset.n_features
     check_feasible(d, config)
@@ -138,26 +135,27 @@ def icp_report(dataset, config):
         subsets = list(combinations(range(d), size))
         # the guard depends on |S| only: 2 * k * 2**|S| cells need filling
         if dataset.n_samples < config.min_samples_per_cell * 2 * k * 2**size:
-            scores = [(1.0, 0)] * len(subsets)  # untested: degenerate
-        elif len(subsets) * 2**size * 2 * k > _LEVEL_CELLS:
-            held, scores = None, []
-            for subset in subsets:
-                _, counts = kernels._subset_counts(table, rows, subset)
-                _, dofs, p_values = stratified_tests(counts[None])
-                scores += zip(p_values, dofs)
+            levels.append(zip(subsets, [(1.0, 0)] * len(subsets)))  # untested
+            continue
+        strata = 2**size
+        if len(subsets) * strata * 2 * k > _LEVEL_CELLS:
+            held, strata = None, min(strata, len(rows))  # R strata at most
+        elif held is None:
+            held = np.zeros((len(subsets), strata, 2, k))
+            for i, subset in enumerate(subsets):
+                keys, counts = kernels._subset_counts(table, rows, subset)
+                held[i, keys] = counts
         else:
-            if held is None:
-                held = np.zeros((len(subsets), 2**size, 2, k))
-                for i, subset in enumerate(subsets):
-                    keys, counts = kernels._subset_counts(table, rows, subset)
-                    held[i, keys] = counts
-            else:
-                held = kernels._marginal_level_counts(held, held_subsets, subsets)
-            held_subsets, scores = subsets, []
-            step = max(1, _BLOCK_CELLS // held[0].size)
-            for start in range(0, len(held), step):
-                _, dofs, p_values = stratified_tests(held[start : start + step])
-                scores += zip(p_values, dofs)
+            held = kernels._marginal_level_counts(held, held_subsets, subsets)
+        held_subsets, scores = subsets, []
+        step = max(1, _BLOCK_CELLS // (strata * 2 * k))
+        for start in range(0, len(subsets), step):
+            block = held[start : start + step] if held is not None else [
+                kernels._subset_counts(table, rows, subset)[1]
+                for subset in subsets[start : start + step]
+            ]
+            _, dofs, p_values = stratified_tests(block)
+            scores += zip(p_values, dofs)
         levels.append(zip(subsets, scores))
     tests = tuple(
         SubsetTest(subset, p, p > config.alpha, dof == 0)

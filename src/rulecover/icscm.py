@@ -113,11 +113,12 @@ def prune(model, dataset, alpha, table=None):
     For each rule, test label-environment independence conditioned on the
     joint value of the features of the *other* rules; a p-value above alpha
     certifies the rule's feature is not a causal parent and the rule is
-    removed. The scan restarts after each removal (the conditioning set has
-    changed) and repeats until a full pass removes nothing. Each test sums
-    its strata from the count table of the model's columns: summed from the
-    dataset's count table (``_kernels._count_table``) when a caller that
-    holds it passes it as ``table``, else counted from the samples, as it is
+    removed. Each pass scores every rule in one ``stratified_tests`` call
+    and removes the first that passes (the rule a scan restarting after each
+    removal removes), until a pass removes nothing. Each test sums its strata
+    from the count table of the model's columns: summed from the dataset's
+    count table (``_kernels._count_table``) when a caller that holds it
+    passes it as ``table``, else counted from the samples, as it is
     when ``table`` is packed (``_kernels._packed_table``) and holds no rows.
     """
     alpha = _require_real("alpha", alpha, 0, 1)
@@ -133,17 +134,13 @@ def prune(model, dataset, alpha, table=None):
         rows = kernels._unpack_keys(keys, len(columns))
     position = {feature: i for i, feature in enumerate(columns)}
     rules = list(model.rules)
-    removed = True
-    while removed and rules:
-        removed = False
-        for idx in range(len(rules)):
-            remaining = {
-                position[r.feature_index] for j, r in enumerate(rules) if j != idx
-            }
-            _, strata = kernels._subset_counts(counts, rows, remaining)
-            _, _, p_values = stratified_tests(strata[None])
-            if p_values[0] > alpha:
-                del rules[idx]
-                removed = True
-                break
+    while rules:
+        positions = [position[rule.feature_index] for rule in rules]
+        others = [{*positions[:i], *positions[i + 1 :]} for i in range(len(rules))]
+        strata = [kernels._subset_counts(counts, rows, s)[1] for s in others]
+        _, _, p_values = stratified_tests(strata)
+        passing = [i for i, p_value in enumerate(p_values) if p_value > alpha]
+        if not passing:
+            break
+        del rules[passing[0]]
     return Conjunction(rules=tuple(rules), is_disjunction=model.is_disjunction)

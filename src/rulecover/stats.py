@@ -236,17 +236,23 @@ def _test_result(scores):
 def stratified_tests(counts, method="gtest"):
     """One test of label against environment, summed over strata, per set.
 
-    ``counts`` has shape (n_sets, n_strata, 2, k), strata in ascending id.
-    Empty strata are dropped and one ``table_stats`` scores the rest. Each
-    set's statistic and dof are then summed over its own strata: its terms in
-    ascending stratum order, grouped as numpy's ``.sum`` groups them over a
-    contiguous run (``stat[a:b].sum()``). The sets with the same number of
-    occupied strata are summed together, one gathered row each, so equal
-    tables give bit-identical p-values however the sets are batched.
+    ``counts`` is (n_sets, n_strata, 2, k), strata in ascending id, or a list
+    of (n_strata, 2, k) arrays, one per set, padded at the end with empty
+    strata. Empty strata are dropped and one ``table_stats`` scores the rest.
+    Each set's statistic and dof are then summed over its own strata: its
+    terms in ascending stratum order, grouped as numpy's ``.sum`` groups them
+    over a contiguous run (``stat[a:b].sum()``). The sets with the same
+    number of occupied strata are summed together, one gathered row each, so
+    equal tables give bit-identical p-values however the sets are batched.
 
     Returns per-set lists of Python scalars: statistics (float), dofs (int)
     and p-values (float; 1.0, with no ``chi2_sf`` call, at dof 0).
     """
+    if isinstance(counts, list):
+        padded = np.zeros((len(counts), max(map(len, counts)), *counts[0].shape[1:]))
+        for row, tables in zip(padded, counts):
+            row[: len(tables)] = tables
+        counts = padded
     n_sets, n_strata, r, c = counts.shape
     tables = counts.reshape(n_sets * n_strata, r, c)
     # any nonzero cell, reduced over a cell-major copy as in table_stats

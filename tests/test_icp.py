@@ -245,7 +245,9 @@ def test_cached_counts_match_per_subset_reference(case, min_cell):
     st.lists(st.integers(0, 10**6), min_size=2, max_size=4, unique=True),
     st.sampled_from([0, 1, 10]),
     st.one_of(st.none(), st.integers(0, 7)),
-    st.sampled_from([(icp._LEVEL_CELLS, icp._BLOCK_CELLS), (64, 1), (0, 16)]),
+    st.sampled_from(
+        [(icp._LEVEL_CELLS, icp._BLOCK_CELLS), (64, 1), (0, 16), (0, icp._BLOCK_CELLS)]
+    ),
     st.one_of(st.none(), st.integers(1, 8)),
     st.integers(0, 2**32 - 1),
 )
@@ -254,10 +256,11 @@ def test_level_scan_matches_per_subset_reference(
 ):
     # n_patterns draws every row from a few distinct rows, so sizes with more
     # possible strata than rows are held with unoccupied strata at 0, or
-    # counted subset by subset in their occupied strata; the budgets
-    # (level, block) hold only small levels, seeding the held chain low in
-    # the scan, and score one subset per block at (64, 1), and force the
-    # per-subset path at every size at (0, 16)
+    # counted from the rows in their occupied strata; the budgets (level,
+    # block) hold only small levels, seeding the held chain low in the scan,
+    # and score one subset per block at (64, 1); at (0, 16) and
+    # (0, _BLOCK_CELLS) no size is held, and every size is counted from the
+    # rows and scored in blocks of mostly one subset, or of many
     rng = np.random.default_rng(seed)
     if n_patterns is None:
         features = rng.integers(0, 2, (m, d), dtype=np.uint8)

@@ -292,6 +292,15 @@ def test_stratified_tests_match_per_set_reference(
     for *score, tables in zip(*scores, counts):
         stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
         _assert_score_is(score, stat.sum(), dof.sum())
+    # a list of sets with 1 to n_strata strata each, padded by the scorer:
+    # each scores as it does alone, at k = 4 past 8 cells per table too
+    lengths = rng.integers(1, n_strata, n_sets, endpoint=True)
+    ragged = [tables[:length] for tables, length in zip(counts, lengths)]
+    scores = stratified_tests(ragged, method)
+    assert [len(values) for values in scores] == [n_sets] * 3
+    for *score, tables in zip(*scores, ragged):
+        stat, dof = table_stats(tables[tables.any(axis=(1, 2))], method)
+        _assert_score_is(score, stat.sum(), dof.sum())
 
 
 def _assert_score_is(score, stat, dof):
